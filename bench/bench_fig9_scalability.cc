@@ -9,10 +9,12 @@
 // below the paper's pandas numbers; the fitted exponent is the
 // comparable statistic.
 //
-// Beyond the paper, two netbone-specific sweeps: the per-edge scorers
-// threaded over 1/2/max workers (bit-identical scores, wall-clock only
-// changes), and the sampled-HSS mode (k seeded sources) opening HSS on
-// sizes where the exact |V|-source run is priced out.
+// Beyond the paper, three netbone-specific tables: where a servable
+// graph's time goes for the per-edge scorers (scoring, the one ScoreOrder
+// sort, the BuildSweepProfile walk), those scorers threaded over
+// 1/2/max workers (bit-identical scores, wall-clock only changes), and
+// the sampled-HSS mode (k seeded sources) opening HSS on sizes where the
+// exact |V|-source run is priced out.
 
 #include <algorithm>
 #include <cmath>
@@ -22,6 +24,7 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "core/registry.h"
+#include "core/sweep.h"
 #include "gen/erdos_renyi.h"
 #include "stats/ols.h"
 
@@ -54,6 +57,37 @@ Timing TimeMethod(nb::Method method, const nb::Graph& graph,
   }
   std::sort(times.begin(), times.end());
   return Timing{times[1], times[0]};
+}
+
+double Median3(std::vector<double> times) {
+  std::sort(times.begin(), times.end());
+  return times[1];
+}
+
+/// Median-of-3 seconds of the three steps that make one method's scores
+/// servable: scoring, the ScoreOrder sort, and the sweep-profile walk.
+struct StepTimes {
+  double score = netbone::bench::NaN();
+  double order = netbone::bench::NaN();
+  double profile = netbone::bench::NaN();
+};
+
+StepTimes TimeSteps(nb::Method method, const nb::Graph& graph,
+                    const nb::RunMethodOptions& options) {
+  std::vector<double> score, order, profile;
+  for (int rep = 0; rep < 3; ++rep) {
+    nb::Timer score_timer;
+    const auto scored = nb::RunMethod(method, graph, options);
+    score.push_back(score_timer.ElapsedSeconds());
+    if (!scored.ok()) return StepTimes{};
+    nb::Timer order_timer;
+    const nb::ScoreOrder sorted(*scored);
+    order.push_back(order_timer.ElapsedSeconds());
+    nb::Timer profile_timer;
+    const nb::SweepProfile swept = nb::BuildSweepProfile(sorted);
+    profile.push_back(profile_timer.ElapsedSeconds());
+  }
+  return StepTimes{Median3(score), Median3(order), Median3(profile)};
 }
 
 }  // namespace
@@ -109,6 +143,39 @@ int main() {
             static_cast<double>(graph->num_edges())));
         log_nc_seconds.push_back(std::log10(t.median));
       }
+    }
+    PrintRow(row);
+  }
+
+  // Where the time goes: a cold served graph costs, per method, scoring
+  // plus the one sort plus the profile walk. The split shows which step
+  // the fig9 curve is made of.
+  std::printf("\nwhere time goes (median of 3, 1 thread): score, ScoreOrder, "
+              "BuildSweepProfile\n");
+  const std::vector<nb::Method> split_methods = {
+      nb::Method::kNoiseCorrected, nb::Method::kDisparityFilter,
+      nb::Method::kNaiveThreshold};
+  std::vector<std::string> split_header = {"edges"};
+  for (const nb::Method m : split_methods) {
+    split_header.push_back(nb::MethodTag(m) + " score");
+    split_header.push_back("order");
+    split_header.push_back("profile");
+  }
+  PrintRow(split_header);
+  for (const nb::NodeId n : sizes) {
+    const auto graph = nb::GenerateErdosRenyi(
+        {.num_nodes = n, .average_degree = 3.0, .seed = 77});
+    if (!graph.ok()) continue;
+    std::vector<std::string> row = {std::to_string(graph->num_edges())};
+    for (const nb::Method m : split_methods) {
+      const StepTimes t = TimeSteps(m, *graph, serial);
+      row.push_back(Num(t.score, 4));
+      row.push_back(Num(t.order, 4));
+      row.push_back(Num(t.profile, 4));
+      json.RecordSeconds(nb::MethodTag(m) + "/order", graph->num_edges(), 1,
+                         t.order, t.order);
+      json.RecordSeconds(nb::MethodTag(m) + "/profile", graph->num_edges(),
+                         1, t.profile, t.profile);
     }
     PrintRow(row);
   }

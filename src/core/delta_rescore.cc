@@ -15,9 +15,10 @@ namespace {
 
 /// Copies clean slots and collects the dirty set, then rescores the dirty
 /// ids through `score_range` (the method's batched kernel over the
-/// successor's SoA columns) with `replay_edge` regenerating the winning
-/// per-edge Status — ParallelScoreEdgeRangeSubset hands the contiguous
-/// runs that dominate real deltas (endpoint stars) to whole vector lanes.
+/// successor's SoA columns, or over a packed copy of scattered ids'
+/// entries) with `replay_edge` regenerating the winning per-edge Status —
+/// ParallelScoreEdgeRangeSubset scores chunks of consecutive ids in place
+/// and packs scattered ones, so both fill whole vector lanes.
 /// `needs_marginals` is false for the naive threshold, whose score reads
 /// only the weight — its dirty set is exactly the changed/inserted edges.
 ///
@@ -119,8 +120,8 @@ Result<std::optional<DeltaRescoreResult>> PatchScores(
   }
 
   Status status = ParallelScoreEdgeRangeSubset(
-      out.dirty, options.num_threads, options.grain, score_range,
-      replay_edge, &out.scores, options.cancel);
+      next.edge_columns(), out.dirty, options.num_threads, options.grain,
+      score_range, replay_edge, &out.scores, options.cancel);
   if (!status.ok()) return status;
   return std::optional<DeltaRescoreResult>(std::move(out));
 }
@@ -148,12 +149,12 @@ Result<std::optional<DeltaRescoreResult>> DeltaRescore(
       // the whole table, which is exactly a full rescore.
       const double n_total = next.matrix_total();
       if (!delta.totals_equal || !(n_total > 0.0)) return not_incremental;
-      const EdgeColumns& cols = next.edge_columns();
       NcKernelConfig cfg;  // flag defaults match the registry defaults
       cfg.n_total = n_total;
       return PatchScores(
           base, next, delta, options, /*needs_marginals=*/true,
-          [&cols, cfg](int64_t begin, int64_t end, EdgeScore* out) {
+          [cfg](const EdgeColumns& cols, int64_t begin, int64_t end,
+                EdgeScore* out) {
             return NoiseCorrectedBatch(cols, cfg, begin, end, out);
           },
           [&next, n_total](EdgeId id) {
@@ -165,21 +166,21 @@ Result<std::optional<DeltaRescoreResult>> DeltaRescore(
           });
     }
     case Method::kDisparityFilter: {
-      const EdgeColumns& cols = next.edge_columns();
       const DisparityFilterOptions df;  // registry defaults
       return PatchScores(
           base, next, delta, options, /*needs_marginals=*/true,
-          [&cols, df](int64_t begin, int64_t end, EdgeScore* out) {
+          [df](const EdgeColumns& cols, int64_t begin, int64_t end,
+               EdgeScore* out) {
             return DisparityFilterBatch(cols, df.endpoint_rule, begin, end,
                                         out);
           },
           [](EdgeId) { return Status::OK(); });
     }
     case Method::kNaiveThreshold: {
-      const EdgeColumns& cols = next.edge_columns();
       return PatchScores(
           base, next, delta, options, /*needs_marginals=*/false,
-          [&cols](int64_t begin, int64_t end, EdgeScore* out) {
+          [](const EdgeColumns& cols, int64_t begin, int64_t end,
+             EdgeScore* out) {
             return NaiveThresholdBatch(cols, begin, end, out);
           },
           [](EdgeId) { return Status::OK(); });

@@ -339,19 +339,50 @@ Result<std::vector<EdgeScore>> ParallelScoreEdgeRanges(
   return scores;
 }
 
+namespace internal {
+
+/// Dirty ids scored per kernel call by ParallelScoreEdgeRangeSubset.
+inline constexpr int64_t kSubsetChunk = 256;
+
+/// The column entries of up to kSubsetChunk scattered edge ids, packed
+/// into a dense table so a batch kernel scores them in whole vector
+/// lanes. Only the value columns the kernels read (weight, marginals,
+/// degree exponents) are packed; src and dst stay empty. Each thread
+/// running ParallelScoreEdgeRangeSubset reuses one
+/// (ThreadGatheredEdges()), sized once.
+struct GatheredEdges {
+  GatheredEdges();
+
+  /// Packs the entries of ids[begin..end) into slots 0..end-begin.
+  void Pack(const EdgeColumns& from, std::span<const EdgeId> ids,
+            int64_t begin, int64_t end);
+
+  EdgeColumns cols;
+  std::vector<EdgeScore> scores;
+};
+
+GatheredEdges& ThreadGatheredEdges();
+
+}  // namespace internal
+
 /// Range-batch variant of ParallelScoreEdgeSubset: the dirty-edge patching
-/// fast path. `ids` must be ascending; each dynamically-claimed block is
-/// decomposed into its maximal runs of *consecutive* edge ids and every
-/// run goes to `score_range` whole — so the contiguous spans that dominate
-/// real deltas (endpoint stars, inserted blocks of a sorted table) are
-/// scored by the vector kernels with sequential loads instead of a
-/// per-edge gather, while isolated ids degrade to width-1 ranges (the
-/// kernels' scalar tail). Scores land in scores[id]; untouched slots are
-/// preserved. First-error-wins matches ParallelScoreEdgeSubset: the
-/// lowest failing position (== lowest id, since ids ascend) wins and its
-/// Status is regenerated by `replay_edge`.
+/// fast path. `ids` must be ascending and distinct. Each dynamically
+/// claimed block is scored kSubsetChunk ids at a time: a chunk of
+/// consecutive ids (a hub's star, an inserted block of a sorted table)
+/// goes to `score_range` whole over `cols`, with sequential loads; any
+/// other chunk is first packed into a dense per-thread copy of its column
+/// entries, so scattered ids fill vector lanes instead of each paying a
+/// call and a scalar tail. `score_range` has signature
+/// int64_t(const EdgeColumns& cols, int64_t begin, int64_t end,
+/// EdgeScore* out) and otherwise the contract of ParallelScoreEdgeRanges'
+/// scorer; the kernels' results do not depend on where an edge sits in
+/// the table, so both routes give the same bits. Scores land in
+/// scores[id]; untouched slots are preserved. First-error-wins matches
+/// ParallelScoreEdgeSubset: the lowest failing position (== lowest id,
+/// since ids ascend) wins and its Status is regenerated by `replay_edge`.
 template <typename RangeScorer, typename Replay>
-Status ParallelScoreEdgeRangeSubset(std::span<const EdgeId> ids,
+Status ParallelScoreEdgeRangeSubset(const EdgeColumns& cols,
+                                    std::span<const EdgeId> ids,
                                     int num_threads, int64_t grain,
                                     const RangeScorer& score_range,
                                     const Replay& replay_edge,
@@ -371,30 +402,36 @@ Status ParallelScoreEdgeRangeSubset(std::span<const EdgeId> ids,
             return;
           }
         }
-        int64_t i = begin;
-        while (i < end) {
-          // Extend the run while ids stay consecutive.
-          int64_t run_end = i + 1;
-          while (run_end < end &&
-                 ids[static_cast<size_t>(run_end)] ==
-                     ids[static_cast<size_t>(run_end - 1)] + 1) {
-            ++run_end;
+        int64_t error_pos = -1;  // lowest failing position in this block
+        for (int64_t chunk = begin; chunk < end && error_pos < 0;
+             chunk += internal::kSubsetChunk) {
+          const int64_t chunk_end =
+              std::min<int64_t>(end, chunk + internal::kSubsetChunk);
+          const EdgeId lo = ids[static_cast<size_t>(chunk)];
+          const EdgeId hi = ids[static_cast<size_t>(chunk_end - 1)] + 1;
+          if (hi - lo == chunk_end - chunk) {
+            // Ascending distinct ids spanning exactly the chunk's length:
+            // one consecutive run, scored in place.
+            const int64_t bad = score_range(cols, lo, hi, scores->data());
+            if (bad >= 0) error_pos = chunk + (bad - lo);
+            continue;
           }
-          const EdgeId lo = ids[static_cast<size_t>(i)];
-          const EdgeId hi = ids[static_cast<size_t>(run_end - 1)] + 1;
-          const int64_t bad = score_range(lo, hi, scores->data());
-          if (bad >= 0) {
-            // Consecutive run: position of the failing id is offset from
-            // the run start by the id distance.
-            const int64_t pos = i + (bad - lo);
-            int64_t seen = first_error_pos.load(std::memory_order_relaxed);
-            while (pos < seen &&
-                   !first_error_pos.compare_exchange_weak(
-                       seen, pos, std::memory_order_relaxed)) {
-            }
-            return;  // abandon the rest of this block
+          internal::GatheredEdges& packed = internal::ThreadGatheredEdges();
+          packed.Pack(cols, ids, chunk, chunk_end);
+          const int64_t bad = score_range(packed.cols, 0, chunk_end - chunk,
+                                          packed.scores.data());
+          for (int64_t pos = chunk; pos < chunk_end; ++pos) {
+            (*scores)[static_cast<size_t>(ids[static_cast<size_t>(pos)])] =
+                packed.scores[static_cast<size_t>(pos - chunk)];
           }
-          i = run_end;
+          if (bad >= 0) error_pos = chunk + bad;
+        }
+        if (error_pos >= 0) {
+          int64_t seen = first_error_pos.load(std::memory_order_relaxed);
+          while (error_pos < seen &&
+                 !first_error_pos.compare_exchange_weak(
+                     seen, error_pos, std::memory_order_relaxed)) {
+          }
         }
       });
   const int64_t winner = first_error_pos.load(std::memory_order_relaxed);

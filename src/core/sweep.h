@@ -4,14 +4,24 @@
 // (Coverage Sec. V-D, Stability Sec. V-F, the Fig. 7-8 share sweeps) are
 // defined over *families* of backbones — one method evaluated at many
 // retention levels. Pricing every sweep point independently costs
-// P * (E log E + E a(E)) per method: a fresh sort for each TopK/TopShare
+// P * (sort + E a(E)) per method: a fresh sort for each TopK/TopShare
 // call plus a fresh isolate scan for each Coverage. This engine computes
 // the deterministic (score desc, weight desc, id asc) permutation exactly
 // once per ScoredEdges (ScoreOrder), then answers the entire descending
 // sweep in a single linear pass: an incremental union-find with live
 // component/coverage counters yields Coverage, kept-weight share, and the
 // GrowUntilConnected stopping index for all P thresholds in
-// O(E log E + E a(E) + P) total (SweepProfile).
+// O(sort + E a(E) + P) total (SweepProfile).
+//
+// The sort is a key sort, not a comparator sort. Each score maps to a
+// 64-bit key whose unsigned order is descending score order (the
+// order-preserving bit transform of an IEEE double, complemented), with
+// -0.0 canonicalised to +0.0 because the comparator treats the two as
+// equal. The keys are radix-sorted, most significant 8-bit digit first,
+// in O(E) passes per level, with the edge position as payload. Only runs
+// of equal keys (tied scores) then go to the comparator, which orders
+// them by (weight desc, id asc). The result is element for element the
+// permutation std::sort with that comparator produces.
 //
 // The single-point entry points in core/filter.h (TopK, TopShare,
 // GrowUntilConnected) are thin wrappers over the overloads below, so every
@@ -40,8 +50,9 @@ namespace netbone {
 /// The wrapped ScoredEdges (and its Graph) must outlive the order.
 class ScoreOrder {
  public:
-  /// Sorts once. This is the only place in the library that orders edges
-  /// by score; the process-wide counter below observes every call.
+  /// Sorts once (the key sort in the header comment). This is the only
+  /// place in the library that orders edges by score; the process-wide
+  /// counter below observes every call.
   explicit ScoreOrder(const ScoredEdges& scored);
 
   /// Patch construction for the incremental rescoring path
@@ -53,10 +64,15 @@ class ScoreOrder {
   /// recomputed, ascending, and must include every inserted edge. The
   /// clean run keeps its base order (scores and weights are bitwise
   /// unchanged and the id remap is monotone, so the (score desc, weight
-  /// desc, id asc) comparator agrees), the dirty ids are ranked among
-  /// themselves — an O(d log d) sort over the delta, not the table — and
-  /// one linear merge yields the permutation, element-for-element
-  /// identical to sorting from scratch (the comparator is a total order).
+  /// desc, id asc) comparator agrees); only the dirty ids are ranked and
+  /// merged in, so the permutation is element-for-element the one sorting
+  /// from scratch gives (the comparator is a total order). A dense delta
+  /// (a quarter of the table or more) ranks its dirty ids with the key
+  /// sort and merges them in one linear pass on keys. A sparse one moves
+  /// most rescored edges a few ranks: the dirty ids, collected in base
+  /// order, are nearly sorted and finished by an insertion sort (the key
+  /// sort past a shift budget), and each gallops into the clean run from
+  /// its old slot.
   /// SortsPerformed() does not advance: patching is not a sort. If the
   /// inputs are inconsistent (clean + dirty does not cover the table) the
   /// constructor falls back to the full sort — correct, counted, slow.

@@ -7,7 +7,7 @@
 namespace netbone {
 
 Components ConnectedComponents(const Graph& graph) {
-  const int64_t n = graph.num_nodes();
+  const NodeId n = graph.num_nodes();
   UnionFind uf(n);
   for (const Edge& e : graph.edges()) uf.Union(e.src, e.dst);
 
@@ -16,7 +16,7 @@ Components ConnectedComponents(const Graph& graph) {
   std::vector<int32_t> root_to_component(static_cast<size_t>(n), -1);
   std::vector<int64_t> sizes;
   for (NodeId v = 0; v < n; ++v) {
-    const int64_t root = uf.Find(v);
+    const NodeId root = uf.Find(v);
     int32_t& mapped = root_to_component[static_cast<size_t>(root)];
     if (mapped < 0) {
       mapped = out.count++;

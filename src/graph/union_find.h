@@ -13,20 +13,25 @@
 #include <utility>
 #include <vector>
 
+#include "graph/graph.h"
+
 namespace netbone {
 
-/// Disjoint-set forest over dense ids [0, n).
+/// Disjoint-set forest over dense node ids [0, n). Parents and set sizes
+/// are NodeId-width: a set never holds more nodes than a graph has, and
+/// the narrower arrays halve the bytes each random probe of the sweep
+/// walk (core/sweep.h) pulls into cache.
 class UnionFind {
  public:
   /// Creates n singleton sets.
-  explicit UnionFind(int64_t n)
+  explicit UnionFind(NodeId n)
       : parent_(static_cast<size_t>(n)), size_(static_cast<size_t>(n), 1),
         num_sets_(n) {
-    std::iota(parent_.begin(), parent_.end(), int64_t{0});
+    std::iota(parent_.begin(), parent_.end(), NodeId{0});
   }
 
   /// Representative of x's set (path halving).
-  int64_t Find(int64_t x) {
+  NodeId Find(NodeId x) {
     while (parent_[static_cast<size_t>(x)] != x) {
       parent_[static_cast<size_t>(x)] =
           parent_[static_cast<size_t>(parent_[static_cast<size_t>(x)])];
@@ -36,7 +41,7 @@ class UnionFind {
   }
 
   /// Merges the sets of a and b; returns false when already merged.
-  bool Union(int64_t a, int64_t b) {
+  bool Union(NodeId a, NodeId b) {
     a = Find(a);
     b = Find(b);
     if (a == b) return false;
@@ -50,17 +55,23 @@ class UnionFind {
   }
 
   /// True when a and b share a set.
-  bool Connected(int64_t a, int64_t b) { return Find(a) == Find(b); }
+  bool Connected(NodeId a, NodeId b) { return Find(a) == Find(b); }
 
   /// Size of x's set.
-  int64_t SetSize(int64_t x) { return size_[static_cast<size_t>(Find(x))]; }
+  int64_t SetSize(NodeId x) { return size_[static_cast<size_t>(Find(x))]; }
 
   /// Current number of disjoint sets.
   int64_t num_sets() const { return num_sets_; }
 
+  /// Hints the cache to load x's parent slot, for callers that know their
+  /// next probes a few steps ahead.
+  void Prefetch(NodeId x) const {
+    __builtin_prefetch(&parent_[static_cast<size_t>(x)]);
+  }
+
  private:
-  std::vector<int64_t> parent_;
-  std::vector<int64_t> size_;
+  std::vector<NodeId> parent_;
+  std::vector<NodeId> size_;
   int64_t num_sets_;
 };
 

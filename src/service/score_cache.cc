@@ -94,38 +94,53 @@ std::shared_ptr<const CachedScore> ScoreCache::Peek(const ScoreKey& key) {
   return GetLocked(key);
 }
 
+int64_t ScoreCache::LineageBytes(const Lineage& record) {
+  return kLineageEntryBytes +
+         (record.delta != nullptr ? record.delta->ApproxBytes() : 0);
+}
+
+void ScoreCache::EraseLineageLocked(
+    std::unordered_map<uint64_t, LineageSlot>::iterator it) {
+  const int64_t record_bytes = LineageBytes(it->second.record);
+  bytes_ -= record_bytes;
+  lineage_bytes_ -= record_bytes;
+  if (it->second.record.delta != nullptr) {
+    delta_queue_.erase(it->second.delta_seq);
+  }
+  lineage_.erase(it);
+}
+
 void ScoreCache::RegisterLineage(uint64_t child, uint64_t parent,
                                  std::shared_ptr<const GraphDelta> delta) {
   if (child == 0 || parent == 0 || child == parent) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (lineage_.size() >= kMaxLineageEntries &&
-      lineage_.find(child) == lineage_.end()) {
+  const auto it = lineage_.find(child);
+  if (it != lineage_.end()) {
+    EraseLineageLocked(it);
+  } else if (lineage_.size() >= kMaxLineageEntries) {
     // Wholesale drop, like the negative cache: the cost is lost patch
     // opportunities for old revisions, never correctness.
     bytes_ -= lineage_bytes_;
     lineage_bytes_ = 0;
     lineage_.clear();
+    delta_queue_.clear();
   }
-  const auto it = lineage_.find(child);
-  if (it != lineage_.end()) {
-    const int64_t old_bytes =
-        kLineageEntryBytes +
-        (it->second.delta != nullptr ? it->second.delta->ApproxBytes() : 0);
-    bytes_ -= old_bytes;
-    lineage_bytes_ -= old_bytes;
+  LineageSlot slot{Lineage{parent, std::move(delta)}, 0};
+  if (slot.record.delta != nullptr) {
+    slot.delta_seq = next_delta_seq_++;
+    delta_queue_.emplace(slot.delta_seq, child);
   }
-  const int64_t new_bytes =
-      kLineageEntryBytes + (delta != nullptr ? delta->ApproxBytes() : 0);
-  lineage_[child] = Lineage{parent, std::move(delta)};
-  bytes_ += new_bytes;
-  lineage_bytes_ += new_bytes;
+  const int64_t record_bytes = LineageBytes(slot.record);
+  lineage_.emplace(child, std::move(slot));
+  bytes_ += record_bytes;
+  lineage_bytes_ += record_bytes;
   TrimLocked();
 }
 
 ScoreCache::Lineage ScoreCache::LineageFor(uint64_t child) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = lineage_.find(child);
-  return it != lineage_.end() ? it->second : Lineage{};
+  return it != lineage_.end() ? it->second.record : Lineage{};
 }
 
 void ScoreCache::Put(const ScoreKey& key,
@@ -164,6 +179,7 @@ void ScoreCache::Clear() {
   lru_.clear();
   index_.clear();
   lineage_.clear();
+  delta_queue_.clear();
   lineage_bytes_ = 0;
   bytes_ = 0;
 }
@@ -187,8 +203,8 @@ ScoreCache::LineageEntries() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<uint64_t, Lineage>> entries;
   entries.reserve(lineage_.size());
-  for (const auto& [child, record] : lineage_) {
-    entries.emplace_back(child, record);
+  for (const auto& [child, slot] : lineage_) {
+    entries.emplace_back(child, slot.record);
   }
   return entries;
 }
@@ -207,15 +223,7 @@ int64_t ScoreCache::EraseGraphEntries(uint64_t fingerprint) {
     }
   }
   const auto lineage_it = lineage_.find(fingerprint);
-  if (lineage_it != lineage_.end()) {
-    const int64_t record_bytes =
-        kLineageEntryBytes + (lineage_it->second.delta != nullptr
-                                  ? lineage_it->second.delta->ApproxBytes()
-                                  : 0);
-    bytes_ -= record_bytes;
-    lineage_bytes_ -= record_bytes;
-    lineage_.erase(lineage_it);
-  }
+  if (lineage_it != lineage_.end()) EraseLineageLocked(lineage_it);
   return dropped;
 }
 
@@ -260,13 +268,25 @@ ScoreCache::Stats ScoreCache::StatsSnapshot() const {
 }
 
 void ScoreCache::TrimLocked() {
-  if (byte_budget_ <= 0) return;
-  if (bytes_ <= byte_budget_ || lru_.empty()) return;
+  if (byte_budget_ <= 0 || bytes_ <= byte_budget_) return;
   obs::ScopedRecord timing(metrics_timing_.load(std::memory_order_relaxed),
                            &evict_ns_);
-  // Lineage bytes count against the budget but only entries are evicted:
-  // the loop stops when the list drains even if lineage alone overflows
-  // (its hard cap bounds that at a few MiB).
+  // Lineage deltas go first, oldest-registered first: a shed delta costs
+  // the revision's next patch one re-diff, an evicted entry a full
+  // rescore. The record keeps its parent link, so the lineage walk still
+  // finds the warm ancestor.
+  while (bytes_ > byte_budget_ && !delta_queue_.empty()) {
+    const auto oldest = delta_queue_.begin();
+    Lineage& record = lineage_.find(oldest->second)->second.record;
+    const int64_t delta_bytes = record.delta->ApproxBytes();
+    bytes_ -= delta_bytes;
+    lineage_bytes_ -= delta_bytes;
+    record.delta.reset();
+    delta_queue_.erase(oldest);
+  }
+  // What remains of the lineage map is parent links alone, which the
+  // record cap bounds at a few MiB; entries are evicted until the budget
+  // holds or none are left.
   while (bytes_ > byte_budget_ && !lru_.empty()) {
     const auto& victim = lru_.back();
     bytes_ -= victim.second->bytes();

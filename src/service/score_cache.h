@@ -12,9 +12,9 @@
 // serving benchmark).
 //
 // Residency is LRU under a byte budget: entries are priced with the
-// common/bytes.h accounting and the least-recently-used entries are
-// dropped first once the budget is exceeded. Hit / miss / eviction
-// counters feed the engine's stats.
+// common/bytes.h accounting, and once the budget is exceeded the lineage
+// deltas are shed first, then the least-recently-used entries are
+// dropped. Hit / miss / eviction counters feed the engine's stats.
 
 #ifndef NETBONE_SERVICE_SCORE_CACHE_H_
 #define NETBONE_SERVICE_SCORE_CACHE_H_
@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -172,15 +173,18 @@ class CachedScore {
 
 /// Thread-safe LRU cache of CachedScore entries under a byte budget.
 ///
-/// Besides the score entries, the cache keeps a small *lineage map* —
-/// child graph fingerprint -> the base fingerprint it was derived from,
-/// registered by BackboneEngine::AddGraphRevision. The incremental
-/// rescoring path walks it to find a warm ancestor entry to patch from.
-/// Lineage is graph-level (independent of method/options), bounded
-/// (kMaxLineageEntries; the table is dropped wholesale on overflow — the
-/// cost is lost patch opportunities, never correctness), and its bytes
-/// are charged against the same budget as the entries, so the byte
-/// accounting stays honest under eviction.
+/// Besides the score entries, the cache keeps a *lineage map* — child
+/// graph fingerprint -> the base fingerprint it was derived from, plus
+/// the submission-time GraphDelta between them, registered by
+/// BackboneEngine::AddGraphRevision. The incremental rescoring path walks
+/// it to find a warm ancestor entry to patch from. Lineage is graph-level
+/// (independent of method/options) and its bytes are charged against the
+/// same budget as the entries. Under budget pressure the deltas are shed
+/// before any entry is evicted, oldest-registered first: a record without
+/// its delta keeps its parent link, so the revision still patches, only
+/// after re-diffing the two graphs. Bare records are bounded by
+/// kMaxLineageEntries (the table is dropped wholesale on overflow — the
+/// cost is lost patch opportunities, never correctness).
 class ScoreCache {
  public:
   struct Stats {
@@ -224,7 +228,8 @@ class ScoreCache {
   /// fingerprints), with the submission-time delta when the caller has
   /// one. No-op when either fingerprint is zero or they are equal. A
   /// re-registration overwrites: the latest declared base wins. The
-  /// delta's bytes are charged to the cache budget.
+  /// delta's bytes are charged to the cache budget, and the delta is
+  /// dropped again (the parent link stays) when the budget needs room.
   void RegisterLineage(uint64_t child, uint64_t parent,
                        std::shared_ptr<const GraphDelta> delta = nullptr);
 
@@ -236,11 +241,11 @@ class ScoreCache {
     return LineageFor(child).parent;
   }
 
-  /// Inserts (or replaces) the entry as most-recently-used, then evicts
-  /// least-recently-used entries until the budget holds again. The budget
-  /// is strict: an entry larger than the whole budget is evicted
-  /// immediately (the caller's shared_ptr keeps it usable for the
-  /// in-flight request).
+  /// Inserts (or replaces) the entry as most-recently-used, then sheds
+  /// lineage deltas and evicts least-recently-used entries until the
+  /// budget holds again. The budget is strict: an entry larger than the
+  /// whole budget is evicted immediately (the caller's shared_ptr keeps
+  /// it usable for the in-flight request).
   void Put(const ScoreKey& key, std::shared_ptr<const CachedScore> score);
 
   /// Changes the budget (<= 0 = unlimited) and trims immediately.
@@ -289,11 +294,26 @@ class ScoreCache {
   /// hash-map node overhead) — the unit the lineage map is priced at.
   static constexpr int64_t kLineageEntryBytes =
       static_cast<int64_t>(2 * sizeof(uint64_t) + 4 * sizeof(void*));
-  /// Hard cap on lineage entries (~64k revisions, a few MiB): on
-  /// overflow the table is dropped wholesale, like the negative cache.
+  /// Hard cap on lineage entries (~64k revisions, a few MiB once their
+  /// deltas are shed): on overflow the table is dropped wholesale, like
+  /// the negative cache.
   static constexpr size_t kMaxLineageEntries = 65536;
 
+  /// A lineage record and, while it holds a delta, its key in
+  /// delta_queue_.
+  struct LineageSlot {
+    Lineage record;
+    uint64_t delta_seq = 0;
+  };
+
+  /// Bytes a lineage record is charged: the entry plus its delta.
+  static int64_t LineageBytes(const Lineage& record);
+
+  /// Sheds lineage deltas, oldest-registered first, then evicts
+  /// least-recently-used entries, until the budget holds.
   void TrimLocked();
+  void EraseLineageLocked(
+      std::unordered_map<uint64_t, LineageSlot>::iterator it);
   std::shared_ptr<const CachedScore> GetLocked(const ScoreKey& key);
 
   using LruList =
@@ -308,7 +328,11 @@ class ScoreCache {
   int64_t insert_failures_ = 0;
   LruList lru_;  // front = most recently used
   std::unordered_map<ScoreKey, LruList::iterator, ScoreKeyHash> index_;
-  std::unordered_map<uint64_t, Lineage> lineage_;  // child -> record
+  std::unordered_map<uint64_t, LineageSlot> lineage_;  // child -> record
+  /// Registration sequence -> child, for the records still holding a
+  /// delta: the order TrimLocked sheds them in.
+  std::map<uint64_t, uint64_t> delta_queue_;
+  uint64_t next_delta_seq_ = 0;
   int64_t lineage_bytes_ = 0;  // lineage map share of bytes_
 
   std::atomic<bool> metrics_timing_{false};

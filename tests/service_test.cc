@@ -909,6 +909,107 @@ TEST(ScoreCacheTest, LineageIsAccountedAndPeekDoesNotCountHits) {
   EXPECT_EQ(cache.stats().bytes, 0);
 }
 
+TEST(ScoreCacheTest, LineageDeltasAreShedOldestFirstUnderBudget) {
+  // Six revisions, each delta a real diff; the budget fits one entry plus
+  // two of the deltas, so the four oldest must go — and only the deltas.
+  std::vector<Graph> chain = {IntWeightGraph(17)};
+  for (uint64_t i = 1; i <= 6; ++i) {
+    chain.push_back(TransferWeight(chain.back(), 40, 300 + i));
+  }
+  std::vector<std::shared_ptr<const GraphDelta>> deltas;
+  for (size_t i = 1; i < chain.size(); ++i) {
+    Result<GraphDelta> delta = ComputeGraphDelta(chain[i - 1], chain[i]);
+    ASSERT_TRUE(delta.ok());
+    deltas.push_back(std::make_shared<const GraphDelta>(*std::move(delta)));
+    // Every delta outweighs the slack below, so slack never fits a third.
+    ASSERT_GT(deltas.back()->ApproxBytes(), 1024);
+  }
+  auto base = std::make_shared<const Graph>(chain[0]);
+  Result<ScoredEdges> scored = RunMethod(Method::kNoiseCorrected, *base);
+  ASSERT_TRUE(scored.ok());
+  const std::shared_ptr<const CachedScore> entry =
+      CachedScore::Build(base, *std::move(scored));
+  const ScoreKey key = MakeScoreKey(100, Method::kNoiseCorrected, {});
+
+  // The entry, six bare lineage records (well under the 1 KiB slack) and
+  // the two newest deltas.
+  const int64_t budget = entry->bytes() + 1024 + deltas[4]->ApproxBytes() +
+                         deltas[5]->ApproxBytes();
+  ScoreCache cache(budget);
+  cache.Put(key, entry);
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    cache.RegisterLineage(101 + i, 100 + i, deltas[i]);
+    EXPECT_LE(cache.stats().bytes, budget) << "after revision " << i + 1;
+  }
+  const ScoreCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1);  // the entry survives: deltas go first
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.lineage_entries, 6);
+  EXPECT_NE(cache.Get(key), nullptr);
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    const ScoreCache::Lineage lineage = cache.LineageFor(101 + i);
+    EXPECT_EQ(lineage.parent, 100 + i);  // the parent link always stays
+    // Oldest-registered first: the newest deltas are the ones kept.
+    EXPECT_EQ(lineage.delta != nullptr, i >= 4) << "revision " << i + 1;
+  }
+
+  // Re-registering a shed child with a fresh delta queues it as newest.
+  cache.RegisterLineage(101, 100, deltas[0]);
+  EXPECT_LE(cache.stats().bytes, budget);
+  EXPECT_NE(cache.LineageFor(101).delta, nullptr);
+  EXPECT_EQ(cache.LineageFor(105).delta, nullptr);
+}
+
+TEST(BackboneEngineTest, ManyRevisionsUnderSmallBudgetStayBitIdentical) {
+  // A byte budget of about three entries: over twelve revisions the cache
+  // sheds lineage deltas and evicts old entries, and every revision is
+  // still answered bit-identically to a cold engine.
+  const Graph base = IntWeightGraph(19);
+  BackboneEngine probe;
+  const uint64_t probe_fp = probe.AddGraph(base);
+  ASSERT_TRUE(
+      probe.Execute(DeltaShareRequest(probe_fp, Method::kNoiseCorrected))
+          .ok());
+  const int64_t entry_bytes = probe.stats().cache.bytes;
+  ASSERT_GT(entry_bytes, 0);
+
+  BackboneEngineOptions options;
+  options.cache_byte_budget = 3 * entry_bytes;
+  BackboneEngine engine(options);
+  std::vector<uint64_t> fingerprints = {engine.AddGraph(base)};
+  ASSERT_TRUE(engine
+                  .Execute(DeltaShareRequest(fingerprints[0],
+                                             Method::kNoiseCorrected))
+                  .ok());
+  Graph previous = base;
+  for (uint64_t i = 1; i <= 12; ++i) {
+    Graph next = TransferWeight(previous, 30, 500 + i);
+    const uint64_t fp = engine.AddGraphRevision(next, fingerprints.back());
+    fingerprints.push_back(fp);
+    const Result<BackboneResponse> served =
+        engine.Execute(DeltaShareRequest(fp, Method::kNoiseCorrected));
+    ASSERT_TRUE(served.ok());
+
+    BackboneEngine cold_engine;
+    const Result<BackboneResponse> cold = cold_engine.Execute(
+        DeltaShareRequest(cold_engine.AddGraph(next), Method::kNoiseCorrected));
+    ASSERT_TRUE(cold.ok());
+    EXPECT_EQ(served->kept_edges, cold->kept_edges) << "revision " << i;
+    EXPECT_EQ(served->kept, cold->kept) << "revision " << i;
+    EXPECT_EQ(served->coverage, cold->coverage) << "revision " << i;
+    EXPECT_EQ(served->weight_share, cold->weight_share) << "revision " << i;
+    EXPECT_LE(engine.stats().cache.bytes, options.cache_byte_budget);
+    previous = std::move(next);
+  }
+  const BackboneEngine::Stats stats = engine.stats();
+  EXPECT_GE(stats.cache.entries, 1);
+  EXPECT_EQ(stats.delta_rescores, 12);  // every revision still patched
+  EXPECT_EQ(stats.cache.lineage_entries, 12);
+  std::vector<uint64_t> sorted = fingerprints;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(engine.LineageFamily(fingerprints.back()), sorted);
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection (deterministic chaos harness).
 // ---------------------------------------------------------------------------

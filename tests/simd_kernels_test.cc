@@ -24,6 +24,7 @@
 #include "core/naive.h"
 #include "core/noise_corrected.h"
 #include "core/scored_edges.h"
+#include "gen/erdos_renyi.h"
 #include "graph/builder.h"
 #include "graph/edge_columns.h"
 #include "graph/graph.h"
@@ -331,8 +332,8 @@ TEST(SimdKernelsTest, FullSweepsBitIdenticalAcrossLevelsAndThreads) {
 
 /// The dirty-subset patching entry (ParallelScoreEdgeRangeSubset) must
 /// write bitwise the same slots the full batch computes, for an id set
-/// mixing contiguous runs (vector lanes) with isolated ids (width-1
-/// scalar tails), at several thread counts and grains.
+/// mixing runs with isolated ids, at several thread counts and grains
+/// (which decide whether a chunk is scored in place or packed).
 TEST(SimdKernelsTest, SubsetPatchingMatchesFullBatchBitwise) {
   const Graph graph =
       MakeLaneGraph(18, Directedness::kDirected, /*with_self_loop=*/true, 5);
@@ -355,9 +356,10 @@ TEST(SimdKernelsTest, SubsetPatchingMatchesFullBatchBitwise) {
       std::vector<EdgeScore> patched(static_cast<size_t>(m),
                                      EdgeScore{-1.0, -1.0});
       const Status status = ParallelScoreEdgeRangeSubset(
-          dirty, threads, grain,
-          [&](int64_t begin, int64_t end, EdgeScore* out) {
-            return NoiseCorrectedBatch(cols, cfg, begin, end, out);
+          cols, dirty, threads, grain,
+          [&](const EdgeColumns& view, int64_t begin, int64_t end,
+              EdgeScore* out) {
+            return NoiseCorrectedBatch(view, cfg, begin, end, out);
           },
           [](EdgeId) { return Status::OK(); }, &patched);
       ASSERT_TRUE(status.ok()) << status.message();
@@ -372,6 +374,136 @@ TEST(SimdKernelsTest, SubsetPatchingMatchesFullBatchBitwise) {
           EXPECT_EQ(patched[static_cast<size_t>(i)].score, -1.0)
               << "untouched slot overwritten, id=" << i;
         }
+      }
+    }
+  }
+}
+
+/// A dirty set mixing the subset scorer's two routes: a run of consecutive
+/// ids long enough to fill whole chunks (scored in place), hundreds of
+/// isolated ids (packed), a short run among them, and the table's last
+/// id. Every incremental kernel must write exactly the full batch's bits,
+/// at every thread count and grain.
+TEST(SimdKernelsTest, SubsetPatchingPacksScatteredIdsBitwise) {
+  Result<Graph> graph =
+      GenerateErdosRenyi({.num_nodes = 500, .average_degree = 5.0, .seed = 9});
+  ASSERT_TRUE(graph.ok()) << graph.status().message();
+  const EdgeColumns& cols = graph->edge_columns();
+  const int64_t m = cols.size();
+  ASSERT_GT(m, 1000);
+  NcKernelConfig nc;
+  nc.n_total = graph->matrix_total();
+  const DisparityEndpointRule rule = DisparityFilterOptions{}.endpoint_rule;
+
+  std::vector<EdgeId> dirty;
+  for (EdgeId id = 0; id < 300; ++id) dirty.push_back(id);
+  for (EdgeId id = 301; id < 900; id += 2) dirty.push_back(id);
+  for (EdgeId id = 950; id < 955; ++id) dirty.push_back(id);
+  dirty.push_back(m - 1);
+
+  const auto check = [&](const char* name, const auto& kernel) {
+    std::vector<EdgeScore> full(static_cast<size_t>(m));
+    ASSERT_EQ(kernel(cols, 0, m, full.data()), -1) << name;
+    for (const int threads : {1, 2, 4}) {
+      for (const int64_t grain :
+           {int64_t{1}, int64_t{7}, int64_t{32}, int64_t{100000}}) {
+        std::vector<EdgeScore> patched(static_cast<size_t>(m),
+                                       EdgeScore{-1.0, -1.0});
+        const Status status = ParallelScoreEdgeRangeSubset(
+            cols, dirty, threads, grain, kernel,
+            [](EdgeId) { return Status::OK(); }, &patched);
+        ASSERT_TRUE(status.ok()) << name << ": " << status.message();
+        size_t next_dirty = 0;
+        for (int64_t i = 0; i < m; ++i) {
+          const EdgeScore& got = patched[static_cast<size_t>(i)];
+          if (next_dirty < dirty.size() && dirty[next_dirty] == i) {
+            ++next_dirty;
+            EXPECT_EQ(std::memcmp(&got, &full[static_cast<size_t>(i)],
+                                  sizeof(EdgeScore)),
+                      0)
+                << name << " threads=" << threads << " grain=" << grain
+                << " id=" << i;
+          } else {
+            EXPECT_EQ(got.score, -1.0) << name << " untouched id=" << i;
+          }
+        }
+      }
+    }
+  };
+  check("NC", [&](const EdgeColumns& view, int64_t begin, int64_t end,
+                  EdgeScore* out) {
+    return NoiseCorrectedBatch(view, nc, begin, end, out);
+  });
+  check("DF", [&](const EdgeColumns& view, int64_t begin, int64_t end,
+                  EdgeScore* out) {
+    return DisparityFilterBatch(view, rule, begin, end, out);
+  });
+  check("NT", [](const EdgeColumns& view, int64_t begin, int64_t end,
+                 EdgeScore* out) {
+    return NaiveThresholdBatch(view, begin, end, out);
+  });
+}
+
+/// First-error-wins across both routes: whichever of a packed id and an
+/// in-place id is the lowest failing one, that id is the one replayed, at
+/// every thread count and grain.
+TEST(SimdKernelsTest, SubsetPatchingReplaysLowestFailingId) {
+  constexpr int64_t kEdges = 1600;
+  EdgeColumns cols;
+  cols.src.assign(kEdges, 0);
+  cols.dst.assign(kEdges, 1);
+  cols.weight.assign(kEdges, 1.0);
+  cols.n_i.assign(kEdges, 1.0);
+  cols.n_j.assign(kEdges, 1.0);
+  cols.dm1_i.assign(kEdges, 0.0);
+  cols.dm1_j.assign(kEdges, 0.0);
+  // In one block: ids 0..255 fill a chunk and are scored in place, the
+  // next chunk mixes scattered ids with the start of a run and is packed,
+  // and the rest of the run (from id 1056) is scored in place again.
+  std::vector<EdgeId> dirty;
+  for (EdgeId id = 0; id < 256; ++id) dirty.push_back(id);
+  for (EdgeId id = 300; id < 900; id += 3) dirty.push_back(id);
+  for (EdgeId id = 1000; id < 1256; ++id) dirty.push_back(id);
+
+  // A scorer that rejects negative weights, like the kernels' validity
+  // masks: returns the lowest rejected id of its range.
+  const auto scorer = [](const EdgeColumns& view, int64_t begin, int64_t end,
+                         EdgeScore* out) -> int64_t {
+    for (int64_t k = begin; k < end; ++k) {
+      if (view.weight[static_cast<size_t>(k)] < 0.0) return k;
+      out[k] = EdgeScore{view.weight[static_cast<size_t>(k)], 0.0};
+    }
+    return -1;
+  };
+  struct Case {
+    std::vector<EdgeId> bad;
+    EdgeId want;
+  };
+  const std::vector<Case> cases = {
+      {{150}, 150},                // in place only
+      {{450}, 450},                // packed only
+      {{1100}, 1100},              // in place, after the packed chunk
+      {{600, 1200}, 600},          // packed before in place
+      {{100, 600}, 100},           // in place before packed
+      {{1200, 603, 1010}, 603},    // three, lowest packed
+  };
+  for (const Case& c : cases) {
+    EdgeColumns bad_cols = cols;
+    for (const EdgeId id : c.bad) {
+      bad_cols.weight[static_cast<size_t>(id)] = -1.0;
+    }
+    for (const int threads : {1, 2, 4}) {
+      for (const int64_t grain : {int64_t{1}, int64_t{16}, int64_t{100000}}) {
+        std::vector<EdgeScore> scores(kEdges);
+        const Status status = ParallelScoreEdgeRangeSubset(
+            bad_cols, dirty, threads, grain, scorer,
+            [](EdgeId id) {
+              return Status::InvalidArgument("bad edge " + std::to_string(id));
+            },
+            &scores);
+        EXPECT_FALSE(status.ok());
+        EXPECT_EQ(status.message(), "bad edge " + std::to_string(c.want))
+            << "threads=" << threads << " grain=" << grain;
       }
     }
   }

@@ -7,11 +7,15 @@
 
 #include "core/sweep.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/naive.h"
 #include "core/registry.h"
 #include "eval/coverage.h"
@@ -155,6 +159,190 @@ TEST(ScoreOrderTest, KForShareMatchesTopShareRounding) {
   EXPECT_EQ(order.KForShare(1.0), 5);
   EXPECT_EQ(order.KForShare(-2.0), 0);  // clamped
   EXPECT_EQ(order.KForShare(7.0), 5);   // clamped
+}
+
+// ---------------------------------------------------------------------------
+// The key sort: element-for-element the comparator sort.
+// ---------------------------------------------------------------------------
+
+/// A path over `num_edges` edges (edge id i joins nodes i and i + 1) whose
+/// weights cycle through `weights`.
+Graph MakePath(int64_t num_edges, const std::vector<double>& weights) {
+  GraphBuilder builder(Directedness::kUndirected);
+  for (int64_t i = 0; i < num_edges; ++i) {
+    builder.AddEdge(static_cast<NodeId>(i), static_cast<NodeId>(i + 1),
+                    weights[static_cast<size_t>(i) % weights.size()]);
+  }
+  return *builder.Build();
+}
+
+/// The reference: std::sort with the (score desc, weight desc, id asc)
+/// comparator, the order ScoreOrder has always produced.
+std::vector<EdgeId> ComparatorOrder(const ScoredEdges& scored) {
+  std::vector<EdgeId> ids(static_cast<size_t>(scored.size()));
+  std::iota(ids.begin(), ids.end(), EdgeId{0});
+  std::sort(ids.begin(), ids.end(), [&](EdgeId a, EdgeId b) {
+    const double sa = scored.at(a).score;
+    const double sb = scored.at(b).score;
+    if (sa != sb) return sa > sb;
+    const double wa = scored.graph().edge(a).weight;
+    const double wb = scored.graph().edge(b).weight;
+    if (wa != wb) return wa > wb;
+    return a < b;
+  });
+  return ids;
+}
+
+/// Scores `graph` with `score_at(id)` and checks ScoreOrder against the
+/// comparator sort, and FromPermutation's acceptance of the result.
+template <typename ScoreAt>
+void ExpectKeySortMatchesComparator(const Graph& graph,
+                                    const ScoreAt& score_at) {
+  std::vector<EdgeScore> scores(static_cast<size_t>(graph.num_edges()));
+  for (size_t id = 0; id < scores.size(); ++id) {
+    scores[id].score = score_at(id);
+  }
+  const ScoredEdges scored(&graph, "test", std::move(scores), false);
+  const ScoreOrder order(scored);
+  const std::vector<EdgeId> expected = ComparatorOrder(scored);
+  ASSERT_EQ(order.size(), static_cast<int64_t>(expected.size()));
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                         order.ids().begin()))
+      << "edges=" << graph.num_edges();
+  const Result<ScoreOrder> adopted = ScoreOrder::FromPermutation(
+      scored, std::vector<EdgeId>(order.ids().begin(), order.ids().end()));
+  EXPECT_TRUE(adopted.ok()) << "edges=" << graph.num_edges();
+}
+
+/// Sizes on both sides of the key sort's insertion-sort cutoff, and large
+/// enough for several radix levels.
+std::vector<int64_t> KeySortSizes() {
+  return {1, 2, 3, 63, 64, 65, 257, 5000, 70000};
+}
+
+TEST(KeySortTest, SignedZerosTieAndFallThroughToWeight) {
+  for (const int64_t n : KeySortSizes()) {
+    const Graph g = MakePath(n, {1.0, 3.0, 2.0});
+    ExpectKeySortMatchesComparator(g, [](size_t id) {
+      return id % 3 == 0 ? 0.5 : (id % 2 == 0 ? -0.0 : 0.0);
+    });
+  }
+}
+
+TEST(KeySortTest, AllEqualScores) {
+  for (const int64_t n : KeySortSizes()) {
+    const Graph mixed = MakePath(n, {2.0, 5.0, 1.0, 5.0});
+    ExpectKeySortMatchesComparator(mixed, [](size_t) { return 0.25; });
+    // Equal scores and equal weights: the id alone decides.
+    const Graph flat = MakePath(n, {2.0});
+    ExpectKeySortMatchesComparator(flat, [](size_t) { return -7.0; });
+  }
+}
+
+TEST(KeySortTest, ExtremeAndNegativeScores) {
+  const double kMax = std::numeric_limits<double>::max();
+  const double kDenorm = std::numeric_limits<double>::denorm_min();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> values = {
+      kDenorm, -kDenorm, 4 * kDenorm, kMax, -kMax, kInf, -kInf,
+      std::numeric_limits<double>::min(), -1.5, 0.0, -0.0, 1.0,
+      1e-300, -1e300, -1.5, kMax, kDenorm};
+  for (const int64_t n : KeySortSizes()) {
+    const Graph g = MakePath(n, {1.0, 2.0});
+    ExpectKeySortMatchesComparator(g, [&](size_t id) {
+      return values[(id * 7) % values.size()];
+    });
+  }
+}
+
+TEST(KeySortTest, RandomScoresWithQuantizedTies) {
+  for (const int64_t n : KeySortSizes()) {
+    const Graph g = MakePath(n, {1.0, 2.0, 3.0, 4.0});
+    Rng rng(static_cast<uint64_t>(n));
+    std::vector<double> values(static_cast<size_t>(n));
+    for (double& value : values) {
+      value = rng.Uniform(-1.0, 1.0);
+      // A quarter of the scores land on a coarse grid, so ties recur.
+      if (rng.NextBounded(4) == 0) value = std::round(value * 8.0) / 8.0;
+    }
+    ExpectKeySortMatchesComparator(g,
+                                   [&](size_t id) { return values[id]; });
+  }
+}
+
+TEST(KeySortTest, PatchWithMostEdgesDirtyEqualsFullSort) {
+  const Graph g = MakePath(20000, {1.0, 2.0, 3.0});
+  Rng rng(5);
+  std::vector<EdgeScore> base_scores(static_cast<size_t>(g.num_edges()));
+  for (EdgeScore& s : base_scores) {
+    s.score = std::round(rng.Uniform(0.0, 1.0) * 512.0) / 512.0;
+  }
+  const ScoredEdges base(&g, "test", base_scores, false);
+  const ScoreOrder base_order(base);
+
+  // Rescore ~60% of the edges (ascending dirty ids); the rest keep their
+  // bits, as the delta path guarantees.
+  std::vector<EdgeScore> next_scores = base_scores;
+  std::vector<EdgeId> dirty;
+  for (EdgeId id = 0; id < g.num_edges(); ++id) {
+    if (rng.NextBounded(10) < 6) {
+      next_scores[static_cast<size_t>(id)].score =
+          std::round(rng.Uniform(-0.5, 1.0) * 512.0) / 512.0;
+      dirty.push_back(id);
+    }
+  }
+  ASSERT_GE(static_cast<double>(dirty.size()),
+            0.5 * static_cast<double>(g.num_edges()));
+  const ScoredEdges next(&g, "test", std::move(next_scores), false);
+
+  const int64_t sorts_before = ScoreOrder::SortsPerformed();
+  const ScoreOrder patched(next, base_order, {}, dirty);
+  EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);  // not a sort
+  const ScoreOrder full(next);
+  EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before + 1);
+  EXPECT_TRUE(std::equal(full.ids().begin(), full.ids().end(),
+                         patched.ids().begin()));
+  const std::vector<EdgeId> expected = ComparatorOrder(next);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                         patched.ids().begin()));
+}
+
+/// A real delta nudges most rescored edges only a few ranks: the patch
+/// collects them nearly sorted and places each near its old slot. Tied
+/// scores (a coarse grid) with cycling weights make the comparator's
+/// fall-through decide many placements; sparse and dense deltas, some
+/// scores unchanged, must all equal the comparator sort.
+TEST(KeySortTest, PatchWithSmallMovesEqualsFullSort) {
+  const Graph g = MakePath(20000, {1.0, 2.0, 3.0});
+  for (const uint64_t dirty_in_16 : {1u, 10u}) {
+    Rng rng(11 + dirty_in_16);
+    std::vector<EdgeScore> base_scores(static_cast<size_t>(g.num_edges()));
+    for (EdgeScore& s : base_scores) {
+      s.score = std::round(rng.Uniform(0.0, 1.0) * 64.0) / 64.0;
+    }
+    const ScoredEdges base(&g, "test", base_scores, false);
+    const ScoreOrder base_order(base);
+
+    std::vector<EdgeScore> next_scores = base_scores;
+    std::vector<EdgeId> dirty;
+    for (EdgeId id = 0; id < g.num_edges(); ++id) {
+      if (rng.NextBounded(16) < dirty_in_16) {
+        const double step =
+            static_cast<double>(rng.NextBounded(5)) - 2.0;  // -2..2
+        next_scores[static_cast<size_t>(id)].score += step / 64.0;
+        dirty.push_back(id);
+      }
+    }
+    const ScoredEdges next(&g, "test", std::move(next_scores), false);
+    const int64_t sorts_before = ScoreOrder::SortsPerformed();
+    const ScoreOrder patched(next, base_order, {}, dirty);
+    EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);  // not a sort
+    const std::vector<EdgeId> expected = ComparatorOrder(next);
+    ASSERT_EQ(patched.size(), static_cast<int64_t>(expected.size()));
+    EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                           patched.ids().begin()))
+        << "dirty share " << dirty_in_16 << "/16";
+  }
 }
 
 // ---------------------------------------------------------------------------

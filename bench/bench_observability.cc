@@ -552,6 +552,9 @@ int main() {
 
       // Satellite contract: the chaos fire counts flow through the
       // registry while the injector is scoped (single source of truth).
+      // The degraded serve queued an exact refresh that draws the same
+      // fault site; wait for it, so nothing draws between the two reads.
+      engine.WaitForBackgroundWork();
       nb::ScopedFaultInjection scope(&injector);
       const nb::obs::MetricsSnapshot metrics = engine.Metrics();
       if (metrics.ValueOf("fault.scoring_latency.injected", -1) !=

@@ -48,11 +48,13 @@ const char* AnswerPathName(AnswerPath path) {
 
 namespace {
 
-int64_t MonotonicNs() {
+int64_t SteadyNs(std::chrono::steady_clock::time_point t) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
+             t.time_since_epoch())
       .count();
 }
+
+int64_t MonotonicNs() { return SteadyNs(std::chrono::steady_clock::now()); }
 
 }  // namespace
 
@@ -68,6 +70,10 @@ TraceRecorder::TraceRecorder(int64_t sample_rate, int64_t buffer_bytes)
 }
 
 int64_t TraceRecorder::NowNs() const { return MonotonicNs() - epoch_ns_; }
+
+int64_t TraceRecorder::NsAt(std::chrono::steady_clock::time_point t) const {
+  return SteadyNs(t) - epoch_ns_;
+}
 
 void TraceRecorder::Commit(const RequestTrace& trace) {
   if (slots_.empty()) return;

@@ -23,6 +23,7 @@
 #define NETBONE_OBS_TRACE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -138,6 +139,10 @@ class TraceRecorder {
   /// Monotonic ns since this recorder was built — the timebase every
   /// stored begin_ns/span uses.
   int64_t NowNs() const;
+
+  /// A steady-clock reading in the same timebase, for callers that read
+  /// the clock once and need it both as a time_point and in ns.
+  int64_t NsAt(std::chrono::steady_clock::time_point t) const;
 
   /// Stable copy of the ring's current contents, oldest first. Slots
   /// mid-write are skipped (they will appear in a later snapshot).

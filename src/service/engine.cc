@@ -293,6 +293,25 @@ void BackboneEngine::RememberFailureLocked(const ScoreKey& key,
       status, std::chrono::steady_clock::now() + options_.negative_ttl};
 }
 
+BackboneEngine::EntryTime BackboneEngine::ReadEntryTime(
+    std::chrono::milliseconds timeout) const {
+  EntryTime entry;
+  if (!Instrumented() && timeout.count() <= 0) return entry;
+  const SteadyClock::time_point now = SteadyClock::now();
+  if (timeout.count() > 0) entry.deadline = now + timeout;
+  if (Instrumented()) entry.begin_ns = tracer_.NsAt(now);
+  return entry;
+}
+
+std::shared_ptr<const CachedScore> BackboneEngine::ProbeCache(
+    const ScoreKey& key, ResolveInfo* info) {
+  if (info->timed) info->lookup_start_ns = tracer_.NowNs();
+  std::shared_ptr<const CachedScore> hit = cache_.Probe(key);
+  info->cache_hit = hit != nullptr;
+  if (info->timed) info->lookup_ns = tracer_.NowNs() - info->lookup_start_ns;
+  return hit;
+}
+
 std::optional<BackboneEngine::ScoreResult> BackboneEngine::StartOrJoinScore(
     const ScoreKey& key, const std::shared_ptr<const Graph>& graph,
     ResolveInfo* info, std::shared_future<ScoreResult>* pending,
@@ -300,17 +319,21 @@ std::optional<BackboneEngine::ScoreResult> BackboneEngine::StartOrJoinScore(
   info->cache_hit = false;
   const bool negative_enabled = options_.negative_ttl.count() > 0;
   std::promise<ScoreResult> promise;
-  // The lookup span covers the whole cache + negative + in-flight
-  // resolution window (including the lock wait); it is closed before any
-  // of the block's returns and once more on the compute fall-through.
-  if (info->timed) info->lookup_start_ns = tracer_.NowNs();
+  // The lookup span adds this cache + negative + in-flight resolution
+  // window (including the lock wait) to the warm probe's time; it keeps
+  // the probe's start. It is closed before any of the block's returns and
+  // once more on the compute fall-through.
+  const int64_t window_start_ns = info->timed ? tracer_.NowNs() : 0;
+  if (info->timed && info->lookup_start_ns < 0) {
+    info->lookup_start_ns = window_start_ns;
+  }
   const auto end_lookup = [&] {
-    if (info->timed) {
-      info->lookup_ns = tracer_.NowNs() - info->lookup_start_ns;
-    }
+    if (info->timed) info->lookup_ns += tracer_.NowNs() - window_start_ns;
   };
   {
     std::unique_lock<std::mutex> lock(score_mu_);
+    // The re-probe under the lock: the warm probe missed, but a Put may
+    // have landed since. This Get counts the lookup, hit or miss.
     if (std::shared_ptr<const CachedScore> hit = cache_.Get(key)) {
       info->cache_hit = true;
       end_lookup();
@@ -355,11 +378,12 @@ std::optional<BackboneEngine::ScoreResult> BackboneEngine::StartOrJoinScore(
   }
   end_lookup();
 
-  // The caller holds the store pin for this graph (taken at resolve time,
-  // before any fan-out, so the byte budget cannot evict the fingerprint
-  // between resolution and this scoring). Three roads, cheapest first:
-  // the positive cache answered above; a warm ancestor patch; the full
-  // (retrying) rescore.
+  // The graph is pinned while it is scored, so the store's byte budget
+  // cannot evict a fingerprint whose score is about to be cached (the
+  // shared_ptr keeps the memory alive regardless). Three roads, cheapest
+  // first: the positive cache answered above; a warm ancestor patch; the
+  // full (retrying) rescore.
+  graphs_.Pin(key.graph);
   ScoreResult result = [&]() -> ScoreResult {
     if (Status budget = cancel.Check(); !budget.ok()) {
       return ScoreResult(budget);
@@ -373,6 +397,7 @@ std::optional<BackboneEngine::ScoreResult> BackboneEngine::StartOrJoinScore(
     }
     return ComputeScoreWithRetry(key, graph, cancel, info);
   }();
+  graphs_.Unpin(key.graph);
   {
     std::lock_guard<std::mutex> lock(score_mu_);
     if (result.ok()) {
@@ -672,66 +697,70 @@ Result<BackboneResponse> BackboneEngine::BuildResponse(
 Result<BackboneResponse> BackboneEngine::Execute(
     const BackboneRequest& request) {
   requests_.Increment();
-  const int64_t begin_ns = MetricsNowNs();
+  const EntryTime entry = ReadEntryTime(request.timeout);
   ResolveInfo info;
   info.timed = tracer_.enabled();
-  const SteadyClock::time_point deadline =
-      DeadlineFor(request, SteadyClock::now());
   const std::shared_ptr<const Graph> graph = graphs_.Find(request.graph);
   if (graph == nullptr) {
-    RecordOutcome(request, /*ok=*/false, /*degraded=*/false, info, begin_ns,
-                  deadline, /*queue_wait_ns=*/0);
+    RecordOutcome(request, /*ok=*/false, /*degraded=*/false, info,
+                  entry.begin_ns, entry.deadline, /*queue_wait_ns=*/0);
     return Status::NotFound("unknown graph fingerprint (AddGraph first)");
   }
-  // One token carries all three reasons this request may stop: its
-  // deadline (armed here), the caller's explicit cancel, and engine
-  // shutdown.
-  CancelSource source(deadline, request.cancel, lifetime_.token());
-  const CancelToken token = source.token();
   const ScoreKey key =
       MakeScoreKey(request.graph, request.method, request.score_options);
-  // Pinned from resolve through scoring: the store's byte budget must not
-  // evict a graph a request is actively using (the shared_ptr keeps the
-  // memory alive regardless — the pin keeps the *fingerprint* resolvable
-  // for the requests that will want the cached score next).
-  graphs_.Pin(request.graph);
-  const ScoreResult score = GetOrComputeScore(key, graph, &info, token);
-  graphs_.Unpin(request.graph);
-  if (!score.ok()) {
-    const Status& status = score.status();
-    if (status.IsDeadlineExceeded()) {
-      deadline_hits_.Increment();
-    } else if (status.IsCancelled()) {
-      cancellations_.Increment();
+  // A warm hit is this probe and the response: no engine lock, no pin, no
+  // cancel source. It answers whatever is left of the request's budget.
+  std::shared_ptr<const CachedScore> score = ProbeCache(key, &info);
+  if (score == nullptr) {
+    // One token carries all three reasons this request may stop: its
+    // deadline (armed at entry), the caller's explicit cancel, and engine
+    // shutdown. A request with neither budget polls the shutdown token
+    // alone, without a source of its own.
+    std::optional<CancelSource> source;
+    if (entry.deadline != SteadyClock::time_point::max() ||
+        !request.cancel.IsNull()) {
+      source.emplace(entry.deadline, request.cancel, lifetime_.token());
     }
-    if (request.allow_degraded &&
-        (status.IsCancellationShaped() || status.IsTransient() ||
-         status.IsResourceExhausted()) &&
-        !lifetime_.CancellationRequested()) {
-      if (std::optional<Result<BackboneResponse>> stale =
-              TryDegradedResponse(request, key)) {
-        RecordOutcome(request, stale->ok(), /*degraded=*/true, info,
-                      begin_ns, deadline, /*queue_wait_ns=*/0);
-        return *std::move(stale);
+    ScoreResult resolved = GetOrComputeScore(
+        key, graph, &info,
+        source.has_value() ? source->token() : lifetime_.token());
+    if (!resolved.ok()) {
+      const Status& status = resolved.status();
+      if (status.IsDeadlineExceeded()) {
+        deadline_hits_.Increment();
+      } else if (status.IsCancelled()) {
+        cancellations_.Increment();
       }
-      if (std::optional<Result<BackboneResponse>> sampled =
-              TryDegradedSampledHss(request, graph)) {
-        RecordOutcome(request, sampled->ok(), /*degraded=*/true, info,
-                      begin_ns, deadline, /*queue_wait_ns=*/0);
-        return *std::move(sampled);
+      if (request.allow_degraded &&
+          (status.IsCancellationShaped() || status.IsTransient() ||
+           status.IsResourceExhausted()) &&
+          !lifetime_.CancellationRequested()) {
+        if (std::optional<Result<BackboneResponse>> stale =
+                TryDegradedResponse(request, key)) {
+          RecordOutcome(request, stale->ok(), /*degraded=*/true, info,
+                        entry.begin_ns, entry.deadline, /*queue_wait_ns=*/0);
+          return *std::move(stale);
+        }
+        if (std::optional<Result<BackboneResponse>> sampled =
+                TryDegradedSampledHss(request, graph)) {
+          RecordOutcome(request, sampled->ok(), /*degraded=*/true, info,
+                        entry.begin_ns, entry.deadline, /*queue_wait_ns=*/0);
+          return *std::move(sampled);
+        }
       }
+      RecordOutcome(request, /*ok=*/false, /*degraded=*/false, info,
+                    entry.begin_ns, entry.deadline, /*queue_wait_ns=*/0);
+      return status;
     }
-    RecordOutcome(request, /*ok=*/false, /*degraded=*/false, info, begin_ns,
-                  deadline, /*queue_wait_ns=*/0);
-    return status;
+    score = *std::move(resolved);
   }
   Result<BackboneResponse> response = [&] {
     SpanTimer span(tracer_, info.timed, &info.extract_start_ns,
                    &info.extract_ns);
-    return BuildResponse(request, **score, info.cache_hit);
+    return BuildResponse(request, *score, info.cache_hit);
   }();
-  RecordOutcome(request, response.ok(), /*degraded=*/false, info, begin_ns,
-                deadline, /*queue_wait_ns=*/0);
+  RecordOutcome(request, response.ok(), /*degraded=*/false, info,
+                entry.begin_ns, entry.deadline, /*queue_wait_ns=*/0);
   return response;
 }
 
@@ -776,14 +805,17 @@ BackboneEngine::TryDegradedSampledHss(
   // it. It caches under its canonical sampled key: repeat degradations
   // on the same graph are warm.
   ResolveInfo sampled_info;
-  graphs_.Pin(request.graph);
-  const ScoreResult score = GetOrComputeScore(sampled_key, graph,
-                                              &sampled_info,
-                                              lifetime_.token());
-  graphs_.Unpin(request.graph);
-  if (!score.ok()) return std::nullopt;
+  std::shared_ptr<const CachedScore> score =
+      ProbeCache(sampled_key, &sampled_info);
+  if (score == nullptr) {
+    ScoreResult resolved = GetOrComputeScore(sampled_key, graph,
+                                             &sampled_info,
+                                             lifetime_.token());
+    if (!resolved.ok()) return std::nullopt;
+    score = *std::move(resolved);
+  }
   Result<BackboneResponse> response =
-      BuildResponse(request, **score, sampled_info.cache_hit);
+      BuildResponse(request, *score, sampled_info.cache_hit);
   if (!response.ok()) return std::nullopt;
   response->degraded = true;
   response->degraded_from = request.graph;
@@ -839,14 +871,14 @@ BackboneEngine::ExecuteBatchWithDeadlines(
   requests_.Add(n);
   obs::ScopedRecord batch_timing(options_.enable_metrics,
                                  &batch_execute_ns_);
-  const int64_t begin_ns = MetricsNowNs();
   const SteadyClock::time_point entry_now = SteadyClock::now();
+  const int64_t begin_ns = Instrumented() ? tracer_.NsAt(entry_now) : 0;
 
   // Resolve graphs and collapse the batch onto its distinct score keys
-  // (first-appearance order, so the scoring order is deterministic).
-  // Requests already past their deadline at entry are pre-answered and
-  // never touch resolution or scoring — an expired batch costs O(n), not
-  // O(scoring).
+  // (first-appearance order, so the scoring order is deterministic); each
+  // distinct key takes the warm probe once. Requests already past their
+  // deadline at entry are pre-answered and never touch resolution or
+  // scoring — an expired batch costs O(n), not O(scoring).
   struct Resolved {
     std::shared_ptr<const Graph> graph;  // nullptr = unknown fingerprint
     size_t key_slot = 0;
@@ -858,6 +890,8 @@ BackboneEngine::ExecuteBatchWithDeadlines(
   // Scoring budget per key: the *latest* member deadline — the key keeps
   // computing as long as any request still wants it.
   std::vector<SteadyClock::time_point> key_deadlines;
+  std::vector<std::optional<ScoreResult>> scores;  // set = resolved
+  std::vector<ResolveInfo> infos;
   std::unordered_map<ScoreKey, size_t, ScoreKeyHash> key_slots;
   for (int64_t i = 0; i < n; ++i) {
     const BackboneRequest& request = requests[static_cast<size_t>(i)];
@@ -874,6 +908,12 @@ BackboneEngine::ExecuteBatchWithDeadlines(
       keys.push_back(key);
       key_graphs.push_back(graph);
       key_deadlines.push_back(deadlines[static_cast<size_t>(i)]);
+      ResolveInfo& info = infos.emplace_back();
+      info.timed = tracer_.enabled();
+      std::optional<ScoreResult>& score = scores.emplace_back();
+      if (std::shared_ptr<const CachedScore> hit = ProbeCache(key, &info)) {
+        score = ScoreResult(std::move(hit));
+      }
     } else {
       key_deadlines[it->second] = std::max(
           key_deadlines[it->second], deadlines[static_cast<size_t>(i)]);
@@ -881,58 +921,58 @@ BackboneEngine::ExecuteBatchWithDeadlines(
     resolved[static_cast<size_t>(i)] = Resolved{std::move(graph), it->second};
   }
 
-  // One cancel source per key (latest member deadline, chained under
-  // engine shutdown). Per-request cancel tokens are not folded into the
-  // scoring token — a shared computation must not die because one
-  // sibling lost interest; they gate that sibling's own response in
-  // phase 2 instead.
-  std::vector<std::unique_ptr<CancelSource>> key_sources;
-  std::vector<CancelToken> key_tokens;
-  key_sources.reserve(keys.size());
-  key_tokens.reserve(keys.size());
+  // Phase 1 takes the keys the probe missed. Each gets one scoring token:
+  // its latest member deadline chained under engine shutdown, or the
+  // shutdown token alone when no member has a deadline. Per-request
+  // cancel tokens are not folded in — a shared computation must not die
+  // because one sibling lost interest; they gate that sibling's own
+  // response in phase 2 instead.
+  std::vector<size_t> cold;
   for (size_t s = 0; s < keys.size(); ++s) {
-    key_sources.push_back(std::make_unique<CancelSource>(
-        key_deadlines[s], CancelToken(), lifetime_.token()));
-    key_tokens.push_back(key_sources.back()->token());
+    if (!scores[s].has_value()) cold.push_back(s);
+  }
+  std::deque<CancelSource> key_sources;
+  std::vector<CancelToken> key_tokens(keys.size());
+  for (const size_t s : cold) {
+    if (key_deadlines[s] == SteadyClock::time_point::max()) {
+      key_tokens[s] = lifetime_.token();
+    } else {
+      key_tokens[s] =
+          key_sources
+              .emplace_back(key_deadlines[s], CancelToken(), lifetime_.token())
+              .token();
+    }
   }
 
-  // Every distinct key's graph stays pinned from here through phase 1,
-  // so the store's byte budget cannot evict a fingerprint between this
-  // resolution and its scoring.
-  for (const ScoreKey& key : keys) graphs_.Pin(key.graph);
-
-  // Phase 1: resolve every distinct score once, concurrently — a batch
-  // mixing many cold keys overlaps their scorings instead of running
-  // them back to back, and each scoring still fans its inner loops out
-  // into the same pool. Concurrency is capped at options_.num_threads:
-  // that many self-scheduling runner tasks claim key slots off a shared
-  // cursor (the ParallelForDynamic pattern, hand-rolled here because a
-  // slot that finds its key in flight elsewhere must hand the future
-  // back instead of blocking). Requests sharing a key — within this
-  // batch or with concurrent executions — coalesce onto one
-  // computation; the caller awaits recorded futures after the fan-out
-  // joins (futures are never awaited inside a task — the header's
-  // deadlock-freedom invariant).
-  std::vector<std::optional<ScoreResult>> scores(keys.size());
+  // Resolve every cold key once, concurrently — a batch mixing many cold
+  // keys overlaps their scorings instead of running them back to back,
+  // and each scoring still fans its inner loops out into the same pool.
+  // Concurrency is capped at options_.num_threads: that many
+  // self-scheduling runner tasks claim cold slots off a shared cursor
+  // (the ParallelForDynamic pattern, hand-rolled here because a slot that
+  // finds its key in flight elsewhere must hand the future back instead
+  // of blocking). Requests sharing a key — within this batch or with
+  // concurrent executions — coalesce onto one computation; the caller
+  // awaits recorded futures after the fan-out joins (futures are never
+  // awaited inside a task — the header's deadlock-freedom invariant).
   std::vector<std::shared_future<ScoreResult>> pending(keys.size());
-  std::vector<ResolveInfo> infos(keys.size());
-  for (ResolveInfo& info : infos) info.timed = tracer_.enabled();
   const int width = static_cast<int>(
       std::min<size_t>(static_cast<size_t>(
                            ResolveThreadCount(options_.num_threads)),
-                       keys.size()));
+                       cold.size()));
   if (width <= 1) {
-    // One key (the common warm case) or a serial engine: no task handoff.
-    for (size_t s = 0; s < keys.size(); ++s) {
+    // One cold key or a serial engine: no task handoff.
+    for (const size_t s : cold) {
       scores[s] = GetOrComputeScore(keys[s], key_graphs[s], &infos[s],
                                     key_tokens[s]);
     }
   } else {
-    std::atomic<size_t> next_key{0};
+    std::atomic<size_t> next_cold{0};
     const auto runner = [&] {
       for (;;) {
-        const size_t s = next_key.fetch_add(1, std::memory_order_relaxed);
-        if (s >= keys.size()) return;
+        const size_t c = next_cold.fetch_add(1, std::memory_order_relaxed);
+        if (c >= cold.size()) return;
+        const size_t s = cold[c];
         scores[s] = StartOrJoinScore(keys[s], key_graphs[s], &infos[s],
                                      &pending[s], key_tokens[s]);
       }
@@ -943,7 +983,7 @@ BackboneEngine::ExecuteBatchWithDeadlines(
       runner();  // the caller is runner 0
       group.Wait();
     }
-    for (size_t s = 0; s < keys.size(); ++s) {
+    for (const size_t s : cold) {
       if (!scores[s].has_value()) {
         // Coalesced with a foreign computation: wait under this key's
         // own budget (slice-wait — the key token always can expire, it
@@ -975,7 +1015,6 @@ BackboneEngine::ExecuteBatchWithDeadlines(
       }
     }
   }
-  for (const ScoreKey& key : keys) graphs_.Unpin(key.graph);
 
   // Phase 2: per-request response assembly, distributed over the pool.
   // Never blocks (the header's deadlock-freedom invariant — the only
@@ -1134,6 +1173,7 @@ void BackboneEngine::DispatcherLoop() {
     if (queue_.empty()) continue;
     PendingBatch batch = std::move(queue_.front());
     queue_.pop_front();
+    dispatching_ = true;
     lock.unlock();
     // Fault-injection site: a stalled dispatcher. The stall is bounded
     // by engine shutdown (lifetime token), never by request deadlines —
@@ -1154,6 +1194,8 @@ void BackboneEngine::DispatcherLoop() {
     batch.promise.set_value(ExecuteBatchWithDeadlines(
         batch.requests, batch.deadlines, queue_wait_ns));
     lock.lock();
+    dispatching_ = false;
+    idle_cv_.notify_all();
   }
   // Shutdown: queued batches are *cancelled*, not executed — their
   // futures resolve immediately with a typed status instead of racing
@@ -1165,6 +1207,12 @@ void BackboneEngine::DispatcherLoop() {
         batch.requests.size(),
         Status::Unavailable("engine is shutting down")));
   }
+  idle_cv_.notify_all();
+}
+
+void BackboneEngine::WaitForBackgroundWork() {
+  std::unique_lock<std::mutex> lock(queue_mu_);
+  idle_cv_.wait(lock, [this] { return queue_.empty() && !dispatching_; });
 }
 
 BackboneEngine::Stats BackboneEngine::stats() const {

@@ -10,8 +10,10 @@
 //
 // Request lifecycle:
 //   1. resolve the graph fingerprint against the GraphStore;
-//   2. resolve the ScoreKey against the ScoreCache; on a miss, register
-//      the key in the in-flight table and score on the shared pool
+//   2. probe the ScoreCache for the ScoreKey. A hit goes straight to step
+//      3: no engine lock, no store pin, no cancel source. On a miss,
+//      re-probe under the engine lock (a racing Put is still found),
+//      register the key in the in-flight table and score on the shared pool
 //      (common/parallel.h) — concurrent identical requests coalesce onto
 //      the one computation instead of scoring twice. Graphs registered as
 //      revisions (AddGraphRevision) take a third road between "cache" and
@@ -53,9 +55,11 @@
 //    the token the scoring loops poll at chunk granularity
 //    (common/cancel.h). A request past its budget returns a typed
 //    kDeadlineExceeded / kCancelled and the scoring stops burning cores
-//    at the next check. Deadlines bound *work*, not delivery: a batch
-//    request whose key finishes scoring under a sibling's longer
-//    deadline still receives the (exact, bit-identical) result.
+//    at the next check. The token is built only on a cache miss: a warm
+//    hit never consults its budget and never blocks. Deadlines bound
+//    *work*, not delivery: a batch request whose key finishes scoring
+//    under a sibling's longer deadline still receives the (exact,
+//    bit-identical) result.
 //  * Retry: transient scoring failures (kUnavailable, kIOError) are
 //    retried up to max_retries with exponential backoff and
 //    deterministic jitter (a Mix64 hash of key and attempt — reruns of
@@ -409,6 +413,12 @@ class BackboneEngine {
   std::future<std::vector<Result<BackboneResponse>>> Submit(
       std::vector<BackboneRequest> requests);
 
+  /// Blocks until the dispatcher queue is empty and no dispatcher batch
+  /// is running: queued Submit batches and the background refreshes that
+  /// degraded serves schedule have all finished. Work queued by other
+  /// threads while this waits is waited for too.
+  void WaitForBackgroundWork();
+
   /// Forgets all remembered scoring failures at once: the next request
   /// on a previously-failing key re-attempts it. For operators that
   /// fixed an environmental cause.
@@ -503,9 +513,17 @@ class BackboneEngine {
     int64_t extract_ns = 0;
   };
 
-  /// The non-blocking half of score resolution: positive cache, negative
-  /// cache, then either computes the score itself (registering the key
-  /// in-flight; the graph stays pinned in the store for the duration) or
+  /// The warm probe every resolve starts with: one cache lookup, taken
+  /// without score_mu_, that counts only a hit (ScoreCache::Probe). It
+  /// sets info->cache_hit and opens the lookup span; on a miss the caller
+  /// goes on to StartOrJoinScore, whose locked re-probe counts the miss.
+  std::shared_ptr<const CachedScore> ProbeCache(const ScoreKey& key,
+                                                ResolveInfo* info);
+
+  /// The non-blocking half of score resolution after a probe miss:
+  /// positive cache again (under score_mu_), negative cache, then either
+  /// computes the score itself (registering the key in-flight; the graph
+  /// stays pinned in the store for the duration of the computation) or
   /// — when another request already has the key in flight — returns
   /// nullopt with *pending set to that computation's future. Never waits
   /// on another request's work, so it is safe both from caller context
@@ -601,14 +619,23 @@ class BackboneEngine {
 
   void DispatcherLoop();
 
-  /// tracer_ timebase now when any instrumentation wants a clock
-  /// (metrics or tracing), else 0 — the one branch the uninstrumented
-  /// hot path pays. The tracer's epoch is armed even at sample rate 0,
-  /// so its timebase is always valid to read.
-  int64_t MetricsNowNs() const {
-    return options_.enable_metrics || tracer_.enabled() ? tracer_.NowNs()
-                                                        : 0;
+  /// True when any instrumentation wants request clocks (metrics or
+  /// tracing). The tracer's epoch is armed even at sample rate 0, so its
+  /// timebase is always valid to read.
+  bool Instrumented() const {
+    return options_.enable_metrics || tracer_.enabled();
   }
+
+  /// A request's entry boundary: its deadline and its latency origin in
+  /// tracer_ timebase (0 when not Instrumented()).
+  struct EntryTime {
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();  ///< max() = none
+    int64_t begin_ns = 0;
+  };
+  /// One clock read serves both fields; none when there is no timeout
+  /// and no instrumentation.
+  EntryTime ReadEntryTime(std::chrono::milliseconds timeout) const;
 
   /// Which road ultimately answered, from the resolve bookkeeping.
   static obs::AnswerPath ClassifyPath(bool ok, bool degraded,
@@ -719,6 +746,10 @@ class BackboneEngine {
   std::condition_variable queue_cv_;
   std::deque<PendingBatch> queue_;
   bool shutdown_ = false;
+  /// True while the dispatcher executes a batch it has popped; with
+  /// queue_ it is what WaitForBackgroundWork waits on (idle_cv_).
+  bool dispatching_ = false;
+  std::condition_variable idle_cv_;
   std::thread dispatcher_;
 };
 

@@ -80,13 +80,26 @@ std::shared_ptr<const CachedScore> ScoreCache::GetLocked(
   return it->second->second;
 }
 
-std::shared_ptr<const CachedScore> ScoreCache::Get(const ScoreKey& key) {
+std::shared_ptr<const CachedScore> ScoreCache::Lookup(const ScoreKey& key,
+                                                      bool count_miss) {
   obs::ScopedRecord timing(metrics_timing_.load(std::memory_order_relaxed),
                            &get_ns_);
   std::lock_guard<std::mutex> lock(mu_);
   std::shared_ptr<const CachedScore> entry = GetLocked(key);
-  ++(entry != nullptr ? hits_ : misses_);
+  if (entry != nullptr) {
+    ++hits_;
+  } else if (count_miss) {
+    ++misses_;
+  }
   return entry;
+}
+
+std::shared_ptr<const CachedScore> ScoreCache::Get(const ScoreKey& key) {
+  return Lookup(key, /*count_miss=*/true);
+}
+
+std::shared_ptr<const CachedScore> ScoreCache::Probe(const ScoreKey& key) {
+  return Lookup(key, /*count_miss=*/false);
 }
 
 std::shared_ptr<const CachedScore> ScoreCache::Peek(const ScoreKey& key) {

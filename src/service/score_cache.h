@@ -210,6 +210,11 @@ class ScoreCache {
   /// (counted as a miss).
   std::shared_ptr<const CachedScore> Get(const ScoreKey& key);
 
+  /// As Get, but a miss is not counted: the engine's warm probe, which
+  /// follows every miss with a Get under its own lock (so a racing Put is
+  /// still found). Each request lookup thus counts once, hit or miss.
+  std::shared_ptr<const CachedScore> Probe(const ScoreKey& key);
+
   /// As Get but without hit/miss accounting (recency still refreshes):
   /// the delta path's ancestor probe, which is bookkept by the engine's
   /// own delta counters instead of distorting the request-facing hit
@@ -315,6 +320,9 @@ class ScoreCache {
   void EraseLineageLocked(
       std::unordered_map<uint64_t, LineageSlot>::iterator it);
   std::shared_ptr<const CachedScore> GetLocked(const ScoreKey& key);
+  /// Get and Probe: a timed, counted lookup.
+  std::shared_ptr<const CachedScore> Lookup(const ScoreKey& key,
+                                            bool count_miss);
 
   using LruList =
       std::list<std::pair<ScoreKey, std::shared_ptr<const CachedScore>>>;

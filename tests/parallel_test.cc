@@ -1,6 +1,6 @@
 // Tests for the parallel-execution subsystem (common/parallel.h) — the
-// work-stealing TaskScheduler/TaskGroup runtime and the legacy
-// ThreadPool — the ParallelScoreEdges helper, the reusable Dijkstra
+// work-stealing TaskScheduler/TaskGroup runtime and the loops built on
+// it — the ParallelScoreEdges helper, the reusable Dijkstra
 // workspace, and the determinism guarantees of the threaded scoring
 // paths: identical scores for every thread count and steal order,
 // serial-equivalent first-error-wins status aggregation, seeded
@@ -43,23 +43,32 @@ namespace netbone {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool / ParallelFor.
+// ParallelRun / ParallelFor.
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPoolTest, RunExecutesEveryWorkerExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
+TEST(ParallelRunTest, RunsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(64);
-  pool.Run(64, [&](int worker) { hits[static_cast<size_t>(worker)]++; });
+  ParallelRun(64, [&](int i) { hits[static_cast<size_t>(i)]++; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1);
-  int sum = 0;  // no synchronization: everything runs on this thread
-  pool.Run(5, [&](int worker) { sum += worker; });
-  EXPECT_EQ(sum, 0 + 1 + 2 + 3 + 4);
+TEST(ParallelRunTest, WidthOneRunsInline) {
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;  // no synchronization: everything runs on this thread
+  ParallelRun(1, [&](int i) {
+    EXPECT_EQ(i, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++calls;
+  });
+  ParallelFor(5, /*num_threads=*/1, [&](int64_t begin, int64_t end,
+                                        int chunk) {
+    EXPECT_EQ(begin, 0);
+    EXPECT_EQ(end, 5);
+    EXPECT_EQ(chunk, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 2);
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -1509,6 +1510,200 @@ TEST(BackboneEngineFaultTest, DegradedHssFallsBackToSampledApproximation) {
   EXPECT_EQ(degraded->kept_edges, reference->kept_edges);
   EXPECT_EQ(degraded->coverage, reference->coverage);
   EXPECT_GE(engine.stats().degraded_served, 1);
+}
+
+TEST(BackboneEngineFaultTest, WaitForBackgroundWorkFinishesTheRefresh) {
+  BackboneEngineOptions options;
+  options.enable_delta_rescore = false;  // force the (stalled) full path
+  BackboneEngine engine(options);
+  const Graph base_graph = IntWeightGraph(93);
+  const uint64_t base = engine.AddGraph(base_graph);
+  const uint64_t revision =
+      engine.AddGraphRevision(TransferWeight(base_graph, 6, 5), base);
+  ASSERT_TRUE(engine.Execute(ShareRequest(base, Method::kNoiseCorrected)).ok());
+
+  // Only the degraded request's own scoring stalls; its background
+  // refresh runs clean.
+  FaultInjector injector(22);
+  injector.Configure(FaultSite::kScoringLatency,
+                     {.probability = 1.0,
+                      .latency = std::chrono::milliseconds(300),
+                      .max_injections = 1});
+  {
+    ScopedFaultInjection scope(&injector);
+    BackboneRequest request = ShareRequest(revision, Method::kNoiseCorrected);
+    request.timeout = std::chrono::milliseconds(10);
+    request.allow_degraded = true;
+    const Result<BackboneResponse> degraded = engine.Execute(request);
+    ASSERT_TRUE(degraded.ok());
+    EXPECT_TRUE(degraded->degraded);
+    engine.WaitForBackgroundWork();
+  }
+  const BackboneEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.background_refreshes, 1);
+  EXPECT_EQ(stats.queue_depth, 0);
+  // The base request, the degraded serve and the refresh; the refresh is
+  // the only scoring the revision got.
+  EXPECT_EQ(stats.requests, 3);
+  EXPECT_EQ(stats.scores_computed, 2);
+
+  const Result<BackboneResponse> warm =
+      engine.Execute(ShareRequest(revision, Method::kNoiseCorrected));
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm->cache_hit);
+  EXPECT_FALSE(warm->degraded);
+  EXPECT_EQ(engine.stats().scores_computed, 2);
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+bool SameAnswer(const BackboneResponse& a, const BackboneResponse& b) {
+  if (a.sweep.size() != b.sweep.size()) return false;
+  for (size_t p = 0; p < a.sweep.size(); ++p) {
+    if (a.sweep[p].k != b.sweep[p].k ||
+        Bits(a.sweep[p].coverage) != Bits(b.sweep[p].coverage) ||
+        Bits(a.sweep[p].weight_share) != Bits(b.sweep[p].weight_share)) {
+      return false;
+    }
+  }
+  return a.kept_edges == b.kept_edges && a.kept == b.kept &&
+         Bits(a.coverage) == Bits(b.coverage) &&
+         Bits(a.weight_share) == Bits(b.weight_share) &&
+         a.connect_k == b.connect_k &&
+         Bits(a.stability) == Bits(b.stability) &&
+         a.degraded == b.degraded && a.degraded_from == b.degraded_from;
+}
+
+TEST(BackboneEngineTest, ConcurrentWarmHitsAndMissesCountEachLookupOnce) {
+  // Every (graph, method) key, asked three ways.
+  std::vector<Graph> graphs;
+  for (uint64_t seed = 100; seed < 104; ++seed) {
+    graphs.push_back(BenchGraph(seed, /*num_nodes=*/400));
+  }
+  const auto requests_for = [&](BackboneEngine& engine) {
+    std::vector<BackboneRequest> requests;
+    for (const Graph& graph : graphs) {
+      const uint64_t fp = engine.AddGraph(graph);
+      for (const Method method : {Method::kNoiseCorrected,
+                                  Method::kDisparityFilter,
+                                  Method::kNaiveThreshold}) {
+        BackboneRequest point = ShareRequest(fp, method, 0.3);
+        point.kind = RequestKind::kCoveragePoint;
+        requests.push_back(point);
+        requests.push_back(ShareRequest(fp, method, 0.2));
+        BackboneRequest sweep = ShareRequest(fp, method);
+        sweep.kind = RequestKind::kSweep;
+        sweep.shares = {0.1, 0.5, 1.0};
+        requests.push_back(sweep);
+      }
+    }
+    return requests;
+  };
+
+  BackboneEngineOptions serial;
+  serial.num_threads = 1;
+  BackboneEngine oracle(serial);
+  const std::vector<BackboneRequest> oracle_requests = requests_for(oracle);
+  std::vector<BackboneResponse> expected;
+  for (const BackboneRequest& request : oracle_requests) {
+    Result<BackboneResponse> response = oracle.Execute(request);
+    ASSERT_TRUE(response.ok());
+    expected.push_back(*std::move(response));
+  }
+
+  BackboneEngine engine;
+  const std::vector<BackboneRequest> requests = requests_for(engine);
+  ASSERT_EQ(requests.size(), expected.size());
+  const size_t keys = requests.size() / 3;
+  // The first half of the keys is warm before the clients start; the rest
+  // are first-time misses the clients race on.
+  for (size_t r = 0; r < requests.size() / 2; r += 3) {
+    ASSERT_TRUE(engine.Execute(requests[r]).ok());
+  }
+
+  constexpr int kClients = 4;
+  constexpr int kRounds = 25;
+  std::atomic<int64_t> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < requests.size(); ++i) {
+          // Each client walks the requests from its own offset; the last
+          // one goes through Submit, one request per batch.
+          const size_t r =
+              (i + static_cast<size_t>(c) * requests.size() / kClients) %
+              requests.size();
+          Result<BackboneResponse> response =
+              c == kClients - 1
+                  ? std::move(engine.Submit({requests[r]}).get().front())
+                  : engine.Execute(requests[r]);
+          if (!response.ok() || !SameAnswer(*response, expected[r])) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  const BackboneEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.requests,
+            static_cast<int64_t>(keys / 2 + requests.size() * kClients *
+                                                kRounds));
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses, stats.requests);
+  EXPECT_GE(stats.cache.misses, static_cast<int64_t>(keys));
+  EXPECT_EQ(stats.scores_computed, static_cast<int64_t>(keys));
+}
+
+TEST(BackboneEngineFaultTest, WarmHitAnswersPastItsDeadlineWithoutBlocking) {
+  BackboneEngine engine;
+  const uint64_t warm_graph = engine.AddGraph(BenchGraph(94));
+  const uint64_t cold_graph = engine.AddGraph(BenchGraph(95));
+  const Result<BackboneResponse> reference =
+      engine.Execute(ShareRequest(warm_graph, Method::kNoiseCorrected));
+  ASSERT_TRUE(reference.ok());
+
+  // A cold scoring stalls in flight for the whole check...
+  FaultInjector injector(23);
+  injector.Configure(FaultSite::kScoringLatency,
+                     {.probability = 1.0,
+                      .latency = std::chrono::milliseconds(600),
+                      .max_injections = 1});
+  ScopedFaultInjection scope(&injector);
+  std::optional<Result<BackboneResponse>> cold;
+  std::atomic<bool> cold_done{false};
+  std::thread stalled([&] {
+    cold = engine.Execute(ShareRequest(cold_graph, Method::kNoiseCorrected));
+    cold_done.store(true);
+  });
+  while (injector.injected(FaultSite::kScoringLatency) == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // ... while a warm hit whose deadline passed a second ago answers, from
+  // the cache, without waiting on anything.
+  CancelSource lapsed(std::chrono::steady_clock::now() -
+                      std::chrono::seconds(1));
+  BackboneRequest request = ShareRequest(warm_graph, Method::kNoiseCorrected);
+  request.cancel = lapsed.token();
+  request.timeout = std::chrono::milliseconds(1);
+  const auto start = std::chrono::steady_clock::now();
+  const Result<BackboneResponse> hit = engine.Execute(request);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  const bool stall_still_running = !cold_done.load();
+  stalled.join();
+
+  EXPECT_TRUE(lapsed.token().Check().IsDeadlineExceeded());
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->cache_hit);
+  EXPECT_TRUE(SameAnswer(*hit, *reference));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(300));
+  EXPECT_TRUE(stall_still_running);
+  EXPECT_EQ(engine.stats().deadline_hits, 0);
+  ASSERT_TRUE(cold.has_value());
+  EXPECT_TRUE(cold->ok());
 }
 
 TEST(GraphStoreTest, DeltaBetweenResidentGraphs) {

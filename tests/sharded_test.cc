@@ -264,8 +264,12 @@ TEST(ShardedEngineTest, RebalanceMigratesHotFamilyAndKeepsBitIdentity) {
   ASSERT_TRUE(ref_a.ok() && ref_rev.ok() && ref_b.ok());
   for (int i = 0; i < 120; ++i) {
     ASSERT_TRUE(engine.Execute(ShareRequest(fp_a)).ok());
-    if (i < 60) ASSERT_TRUE(engine.Execute(ShareRequest(fp_rev)).ok());
-    if (i < 40) ASSERT_TRUE(engine.Execute(ShareRequest(fp_b)).ok());
+    if (i < 60) {
+      ASSERT_TRUE(engine.Execute(ShareRequest(fp_rev)).ok());
+    }
+    if (i < 40) {
+      ASSERT_TRUE(engine.Execute(ShareRequest(fp_b)).ok());
+    }
   }
 
   const int64_t scores_before = engine.stats().total.scores_computed;
@@ -411,8 +415,12 @@ TEST(ShardedEngineTest, WarmRestartRestoresEveryShardAndHealsRouting) {
     want_b = *engine.Execute(ShareRequest(fp_b));
     for (int i = 0; i < 100; ++i) {
       ASSERT_TRUE(engine.Execute(ShareRequest(fp_a)).ok());
-      if (i < 50) ASSERT_TRUE(engine.Execute(ShareRequest(fp_rev)).ok());
-      if (i < 35) ASSERT_TRUE(engine.Execute(ShareRequest(fp_b)).ok());
+      if (i < 50) {
+        ASSERT_TRUE(engine.Execute(ShareRequest(fp_rev)).ok());
+      }
+      if (i < 35) {
+        ASSERT_TRUE(engine.Execute(ShareRequest(fp_b)).ok());
+      }
     }
     ASSERT_GE(engine.RebalanceNow(), 1);
     target = engine.ShardOf(fp_a);

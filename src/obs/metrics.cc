@@ -124,18 +124,6 @@ HistogramSnapshot LatencyHistogram::Snapshot() const {
   return snap;
 }
 
-void LatencyHistogram::Reset() {
-  for (const auto& shard : shards_) {
-    for (int i = 0; i < kHistogramBuckets; ++i) {
-      shard->buckets[i].store(0, std::memory_order_relaxed);
-    }
-    shard->count.store(0, std::memory_order_relaxed);
-    shard->sum.store(0, std::memory_order_relaxed);
-    shard->min.store(INT64_MAX, std::memory_order_relaxed);
-    shard->max.store(INT64_MIN, std::memory_order_relaxed);
-  }
-}
-
 namespace {
 
 template <typename Vec>

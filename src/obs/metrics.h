@@ -158,9 +158,6 @@ class LatencyHistogram {
   /// multiset of recorded values, not shard count or thread schedule.
   HistogramSnapshot Snapshot() const;
 
-  /// Resets all shards. Callers must quiesce writers first.
-  void Reset();
-
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
@@ -243,6 +240,41 @@ struct MetricsSnapshot {
   bool WriteJsonFile(const std::string& path,
                      const std::string& name) const;
 };
+
+/// A typed view over a snapshot. A subsystem keeps one table of
+/// {name, &S::field} rows (any row type with those two members); the same
+/// table emits the struct as named values and decodes it back, so each
+/// metric name is spelled once.
+template <typename S>
+struct StatsField {
+  const char* name;
+  int64_t S::*field;
+};
+
+template <typename S, typename Fields>
+void AppendFields(const S& stats, const Fields& fields,
+                  const std::string& prefix,
+                  std::vector<MetricsSnapshot::Value>* out) {
+  for (const auto& row : fields) {
+    out->push_back({prefix + row.name, stats.*row.field});
+  }
+}
+
+/// Each field reads `prefix + name`, 0 when absent. A merged snapshot
+/// decodes to field-wise sums.
+template <typename S, typename Fields>
+void DecodeFields(const MetricsSnapshot& snapshot, const Fields& fields,
+                  const std::string& prefix, S* stats) {
+  for (const auto& row : fields) {
+    stats->*row.field = snapshot.ValueOf(prefix + row.name);
+  }
+}
+
+template <typename Fields>
+void AppendFieldNames(const Fields& fields, const std::string& prefix,
+                      std::vector<std::string>* names) {
+  for (const auto& row : fields) names->push_back(prefix + row.name);
+}
 
 /// Name -> primitive registry. Registration is infrequent (setup /
 /// teardown); Snapshot() walks every metric once under the registry lock

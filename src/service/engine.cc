@@ -21,6 +21,10 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
+/// Where the store's and the cache's metrics live in the engine registry.
+constexpr char kStorePrefix[] = "store.";
+constexpr char kCachePrefix[] = "cache.";
+
 /// time_point::max() encodes "no deadline" throughout the engine.
 SteadyClock::time_point DeadlineFor(const BackboneRequest& request,
                                     SteadyClock::time_point now) {
@@ -120,12 +124,12 @@ BackboneEngine::BackboneEngine(const Options& options)
     Result<SnapshotRestoreReport> restored = RestoreSnapshot(
         SnapshotFilePath(options_.snapshot_dir), &graphs_, &cache_);
     if (restored.ok()) {
-      restored_graphs_ = restored->graphs_restored;
-      restored_entries_ = restored->entries_restored;
-      restored_lineage_ = restored->lineage_restored;
-      quarantined_sections_ = restored->sections_quarantined;
+      restored_graphs_.Add(restored->graphs_restored);
+      restored_entries_.Add(restored->entries_restored);
+      restored_lineage_.Add(restored->lineage_restored);
+      quarantined_sections_.Add(restored->sections_quarantined);
     } else if (!restored.status().IsNotFound()) {
-      ++snapshot_restore_errors_;
+      snapshot_restore_errors_.Increment();
     }
   }
   RegisterEngineMetrics();
@@ -539,7 +543,6 @@ std::shared_ptr<const CachedScore> BackboneEngine::TryDeltaRescore(
       ancestor.delta != nullptr ? *ancestor.delta : *computed;
   DeltaRescoreOptions rescore_options;
   rescore_options.num_threads = options_.num_threads;
-  rescore_options.grain = options_.delta_grain;
   rescore_options.cancel = cancel;
   Result<std::optional<DeltaRescoreResult>> rescored = DeltaRescore(
       key.method, base->scored(), *graph, delta, rescore_options);
@@ -1215,49 +1218,6 @@ void BackboneEngine::WaitForBackgroundWork() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && !dispatching_; });
 }
 
-BackboneEngine::Stats BackboneEngine::stats() const {
-  Stats stats;
-  stats.requests = requests_.Value();
-  stats.scores_computed = scores_computed_.Value();
-  stats.coalesced_waits = coalesced_waits_.Value();
-  stats.submitted_batches = submitted_batches_.Value();
-  stats.negative_hits = negative_hits_.Value();
-  stats.delta_rescores = delta_rescores_.Value();
-  stats.delta_fallbacks = delta_fallbacks_.Value();
-  stats.shed_batches = shed_batches_.Value();
-  stats.rejected_batches = rejected_batches_.Value();
-  stats.inflight_rejected = inflight_rejected_.Value();
-  stats.deadline_hits = deadline_hits_.Value();
-  stats.cancellations = cancellations_.Value();
-  stats.retries = retries_.Value();
-  stats.negative_exempt = negative_exempt_.Value();
-  stats.degraded_served = degraded_served_.Value();
-  stats.background_refreshes = background_refreshes_.Value();
-  stats.restored_graphs = restored_graphs_;
-  stats.restored_entries = restored_entries_;
-  stats.restored_lineage = restored_lineage_;
-  stats.quarantined_sections = quarantined_sections_;
-  stats.snapshot_restore_errors = snapshot_restore_errors_;
-  stats.snapshot_writes = snapshot_writes_.Value();
-  stats.snapshot_failures = snapshot_failures_.Value();
-  {
-    // One coherent snapshot of the lock-guarded fields: both mutexes are
-    // taken together (scoped_lock orders them deadlock-free) so queue
-    // depth and negative entries describe the same instant instead of
-    // two piecemeal reads with requests landing in between.
-    std::scoped_lock lock(score_mu_, queue_mu_);
-    stats.queue_depth = static_cast<int64_t>(queue_.size());
-    // Live entries only: expired ones awaiting a lazy sweep don't count.
-    const auto now = std::chrono::steady_clock::now();
-    for (const auto& [key, entry] : negative_) {
-      if (now < entry.expiry) ++stats.negative_entries;
-    }
-  }
-  stats.graphs = graphs_.stats();
-  stats.cache = cache_.stats();
-  return stats;
-}
-
 obs::AnswerPath BackboneEngine::ClassifyPath(bool ok, bool degraded,
                                              const ResolveInfo& info) {
   // Precedence mirrors how the answer was actually produced: a degraded
@@ -1334,68 +1294,98 @@ void BackboneEngine::RecordOutcome(const BackboneRequest& request, bool ok,
   tracer_.Commit(trace);
 }
 
-void BackboneEngine::RegisterEngineMetrics() {
-  auto counter = [&](const char* name, obs::ShardedCounter* c) {
-    registry_.RegisterCounter(name, c, this);
+std::span<const BackboneEngine::StatsField> BackboneEngine::MetricFields() {
+  using E = BackboneEngine;
+  static constexpr StatsField kFields[] = {
+      {"engine.requests", &Stats::requests, &E::requests_},
+      {"engine.scores_computed", &Stats::scores_computed, &E::scores_computed_},
+      {"engine.coalesced_waits", &Stats::coalesced_waits, &E::coalesced_waits_},
+      {"engine.submitted_batches", &Stats::submitted_batches,
+       &E::submitted_batches_},
+      {"engine.negative_hits", &Stats::negative_hits, &E::negative_hits_},
+      {"engine.negative_entries", &Stats::negative_entries, nullptr},
+      {"engine.delta_rescores", &Stats::delta_rescores, &E::delta_rescores_},
+      {"engine.delta_fallbacks", &Stats::delta_fallbacks, &E::delta_fallbacks_},
+      {"engine.queue_depth", &Stats::queue_depth, nullptr},
+      {"engine.shed_batches", &Stats::shed_batches, &E::shed_batches_},
+      {"engine.rejected_batches", &Stats::rejected_batches,
+       &E::rejected_batches_},
+      {"engine.inflight_rejected", &Stats::inflight_rejected,
+       &E::inflight_rejected_},
+      {"engine.deadline_hits", &Stats::deadline_hits, &E::deadline_hits_},
+      {"engine.cancellations", &Stats::cancellations, &E::cancellations_},
+      {"engine.retries", &Stats::retries, &E::retries_},
+      {"engine.negative_exempt", &Stats::negative_exempt, &E::negative_exempt_},
+      {"engine.degraded_served", &Stats::degraded_served, &E::degraded_served_},
+      {"engine.background_refreshes", &Stats::background_refreshes,
+       &E::background_refreshes_},
+      {"engine.restored_graphs", &Stats::restored_graphs, &E::restored_graphs_},
+      {"engine.restored_entries", &Stats::restored_entries,
+       &E::restored_entries_},
+      {"engine.restored_lineage", &Stats::restored_lineage,
+       &E::restored_lineage_},
+      {"engine.quarantined_sections", &Stats::quarantined_sections,
+       &E::quarantined_sections_},
+      {"engine.snapshot_writes", &Stats::snapshot_writes, &E::snapshot_writes_},
+      {"engine.snapshot_failures", &Stats::snapshot_failures,
+       &E::snapshot_failures_},
+      {"engine.snapshot_restore_errors", &Stats::snapshot_restore_errors,
+       &E::snapshot_restore_errors_},
   };
-  counter("engine.requests", &requests_);
-  counter("engine.scores_computed", &scores_computed_);
-  counter("engine.coalesced_waits", &coalesced_waits_);
-  counter("engine.submitted_batches", &submitted_batches_);
-  counter("engine.negative_hits", &negative_hits_);
-  counter("engine.delta_rescores", &delta_rescores_);
-  counter("engine.delta_fallbacks", &delta_fallbacks_);
-  counter("engine.shed_batches", &shed_batches_);
-  counter("engine.rejected_batches", &rejected_batches_);
-  counter("engine.inflight_rejected", &inflight_rejected_);
-  counter("engine.deadline_hits", &deadline_hits_);
-  counter("engine.cancellations", &cancellations_);
-  counter("engine.retries", &retries_);
-  counter("engine.negative_exempt", &negative_exempt_);
-  counter("engine.degraded_served", &degraded_served_);
-  counter("engine.background_refreshes", &background_refreshes_);
-  counter("engine.snapshot_writes", &snapshot_writes_);
-  counter("engine.snapshot_failures", &snapshot_failures_);
+  return kFields;
+}
 
-  registry_.RegisterGauge(
-      "engine.queue_depth",
+BackboneEngine::Stats BackboneEngine::DecodeStats(
+    const obs::MetricsSnapshot& metrics) {
+  Stats stats;
+  obs::DecodeFields(metrics, MetricFields(), "", &stats);
+  obs::DecodeFields(metrics, GraphStore::MetricFields(), kStorePrefix,
+                    &stats.graphs);
+  obs::DecodeFields(metrics, ScoreCache::MetricFields(), kCachePrefix,
+                    &stats.cache);
+  return stats;
+}
+
+std::vector<std::string> BackboneEngine::StatsMetricNames() {
+  std::vector<std::string> names;
+  obs::AppendFieldNames(MetricFields(), "", &names);
+  obs::AppendFieldNames(GraphStore::MetricFields(), kStorePrefix, &names);
+  obs::AppendFieldNames(ScoreCache::MetricFields(), kCachePrefix, &names);
+  return names;
+}
+
+void BackboneEngine::RegisterEngineMetrics() {
+  for (const StatsField& row : MetricFields()) {
+    if (row.counter != nullptr) {
+      registry_.RegisterCounter(row.name, &(this->*row.counter), this);
+    }
+  }
+  // The lock-guarded gauges, read together under both locks (scoped_lock
+  // orders them deadlock-free) so they describe one instant.
+  registry_.RegisterGaugeGroup(
       [this] {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        return static_cast<int64_t>(queue_.size());
-      },
-      this);
-  registry_.RegisterGauge(
-      "engine.inflight_scores",
-      [this] {
-        std::lock_guard<std::mutex> lock(score_mu_);
-        return static_cast<int64_t>(inflight_.size());
-      },
-      this);
-  registry_.RegisterGauge(
-      "engine.negative_entries",
-      [this] {
-        // Same live-scan semantics as stats(): expired entries awaiting
-        // a lazy sweep don't count.
-        const auto now = std::chrono::steady_clock::now();
-        std::lock_guard<std::mutex> lock(score_mu_);
-        int64_t live = 0;
-        for (const auto& [key, entry] : negative_) {
-          if (now < entry.expiry) ++live;
+        Stats gauges;
+        int64_t inflight = 0;
+        {
+          std::scoped_lock lock(score_mu_, queue_mu_);
+          gauges.queue_depth = static_cast<int64_t>(queue_.size());
+          inflight = static_cast<int64_t>(inflight_.size());
+          // Live entries only; expired ones await a lazy sweep.
+          const auto now = SteadyClock::now();
+          for (const auto& [key, entry] : negative_) {
+            if (now < entry.expiry) ++gauges.negative_entries;
+          }
         }
-        return live;
+        std::vector<obs::MetricsSnapshot::Value> values = {
+            {"engine.inflight_scores", inflight}};
+        for (const StatsField& row : MetricFields()) {
+          if (row.counter == nullptr) {
+            values.push_back({row.name, gauges.*row.field});
+          }
+        }
+        return values;
       },
       this);
-  registry_.RegisterGauge("engine.restored_graphs",
-                          [this] { return restored_graphs_; }, this);
-  registry_.RegisterGauge("engine.restored_entries",
-                          [this] { return restored_entries_; }, this);
-  registry_.RegisterGauge("engine.restored_lineage",
-                          [this] { return restored_lineage_; }, this);
-  registry_.RegisterGauge("engine.quarantined_sections",
-                          [this] { return quarantined_sections_; }, this);
-  registry_.RegisterGauge("engine.snapshot_restore_errors",
-                          [this] { return snapshot_restore_errors_; },
-                          this);
   registry_.RegisterGauge(
       "trace.sampled", [this] { return tracer_.sampled(); }, this);
   registry_.RegisterGauge(
@@ -1447,8 +1437,8 @@ void BackboneEngine::RegisterEngineMetrics() {
   registry_.RegisterHistogram("engine.snapshot_restore_ns",
                               &snapshot_restore_ns_, this);
 
-  cache_.RegisterMetrics(registry_, "cache", this);
-  graphs_.RegisterMetrics(registry_, "store", this);
+  cache_.RegisterMetrics(registry_, kCachePrefix, this);
+  graphs_.RegisterMetrics(registry_, kStorePrefix, this);
 }
 
 }  // namespace netbone

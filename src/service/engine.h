@@ -264,9 +264,6 @@ struct BackboneEngineOptions {
   /// the score order with zero global sorts — instead of fully rescored.
   /// Responses are bit-identical either way; false forces the full path.
   bool enable_delta_rescore = true;
-  /// Block size for the delta path's dirty-edge rescoring
-  /// (DeltaRescoreOptions::grain).
-  int64_t delta_grain = 32;
 
   /// Retries for transiently-failed cold scorings (kUnavailable /
   /// kIOError): up to this many re-attempts after the first failure.
@@ -310,11 +307,12 @@ struct BackboneEngineOptions {
   /// maintenance, not serving work.
   std::chrono::milliseconds snapshot_interval{0};
 
-  /// Observability (src/obs/). When true (the default) the engine
-  /// registers its counters/gauges/histograms in its MetricRegistry and
-  /// records per-kind / per-answer-path latency distributions. The cost
-  /// is a few relaxed fetch_adds and two clock reads per request; false
-  /// reduces instrumentation to the legacy Stats counters alone.
+  /// Observability (src/obs/). Counters and gauges are always registered
+  /// in the engine's MetricRegistry (stats() is decoded from them). When
+  /// true (the default) the engine also records per-kind / per-answer-path
+  /// latency histograms and times store, cache and snapshot operations;
+  /// that costs a few clock reads per request. False drops the latency
+  /// histograms and the operation timing.
   bool enable_metrics = true;
   /// Trace sampling: 0 (default) disables per-request traces entirely
   /// (no ring allocated, one predictable branch per request); 1 traces
@@ -470,7 +468,19 @@ class BackboneEngine {
   /// grace period. Returns the number of graphs + score entries dropped.
   int64_t RetireFingerprints(std::span<const uint64_t> fingerprints);
 
-  Stats stats() const;
+  /// A typed view over Metrics(): every field is decoded by name from one
+  /// registry snapshot, so stats() and Metrics() agree by construction.
+  /// That snapshot includes the histograms: read stats() between
+  /// measurements, not per request.
+  Stats stats() const { return DecodeStats(Metrics()); }
+
+  /// Decodes Stats from a snapshot of an engine registry, or from a merge
+  /// of several engines' snapshots (each field then reads the sum). A
+  /// field whose metric is absent reads 0.
+  static Stats DecodeStats(const obs::MetricsSnapshot& metrics);
+
+  /// Every metric name DecodeStats reads, store and cache fields included.
+  static std::vector<std::string> StatsMetricNames();
 
   /// One consistent snapshot of every metric the engine registered:
   /// counters, gauges (queue depth, cache/store occupancy, fault-injection
@@ -656,6 +666,17 @@ class BackboneEngine {
   /// only, before the dispatcher thread starts.
   void RegisterEngineMetrics();
 
+  /// One Stats field and its metric: the row both registers the metric
+  /// (RegisterEngineMetrics) and decodes it (DecodeStats), so each name is
+  /// spelled once. `counter` is the counter behind the field; nullptr for
+  /// the fields of the engine's lock-guarded gauge group.
+  struct StatsField {
+    const char* name;
+    int64_t Stats::*field;
+    obs::ShardedCounter BackboneEngine::*counter;
+  };
+  static std::span<const StatsField> MetricFields();
+
   const Options options_;
 
   /// Declared before the caches and counters they reference: members are
@@ -669,7 +690,7 @@ class BackboneEngine {
 
   /// Guards the cache-lookup + in-flight-registration window so exactly
   /// one computation per key can be live, plus the negative cache
-  /// (mutable: stats() reads the entry count).
+  /// (mutable: the metrics gauge group reads both tables' sizes).
   mutable std::mutex score_mu_;
   std::unordered_map<ScoreKey, std::shared_future<ScoreResult>, ScoreKeyHash>
       inflight_;
@@ -684,9 +705,11 @@ class BackboneEngine {
   };
   std::unordered_map<ScoreKey, NegativeEntry, ScoreKeyHash> negative_;
 
-  /// Request-path counters: sharded relaxed-atomic (obs/metrics.h), so
-  /// concurrent bumps never contend on a shared cache line. Exact; both
-  /// stats() and the registry read the same instances.
+  /// The counters behind Stats: sharded relaxed-atomic (obs/metrics.h),
+  /// so concurrent bumps never contend on a shared cache line. Exact. Each
+  /// is registered under its MetricFields() name and read only through the
+  /// registry. The restore counters are bumped once, by the constructor's
+  /// restore attempt.
   obs::ShardedCounter requests_;
   obs::ShardedCounter scores_computed_;
   obs::ShardedCounter coalesced_waits_;
@@ -705,6 +728,11 @@ class BackboneEngine {
   obs::ShardedCounter background_refreshes_;
   obs::ShardedCounter snapshot_writes_;
   obs::ShardedCounter snapshot_failures_;
+  obs::ShardedCounter restored_graphs_;
+  obs::ShardedCounter restored_entries_;
+  obs::ShardedCounter restored_lineage_;
+  obs::ShardedCounter quarantined_sections_;
+  obs::ShardedCounter snapshot_restore_errors_;
 
   /// Latency distributions (populated when Options::enable_metrics).
   std::array<std::unique_ptr<obs::LatencyHistogram>, kNumRequestKinds>
@@ -718,14 +746,6 @@ class BackboneEngine {
 
   /// Ids for sampled traces (bumped only when a request samples).
   std::atomic<uint64_t> trace_ids_{0};
-
-  /// Set once by the constructor's restore attempt, before any other
-  /// thread exists; plain fields on purpose.
-  int64_t restored_graphs_ = 0;
-  int64_t restored_entries_ = 0;
-  int64_t restored_lineage_ = 0;
-  int64_t quarantined_sections_ = 0;
-  int64_t snapshot_restore_errors_ = 0;
 
   /// Engine-wide shutdown token, chained as a parent into every
   /// request's cancel token: the destructor fires it so in-flight
@@ -742,7 +762,7 @@ class BackboneEngine {
     /// the queue-wait histogram and the traces' admission span.
     std::chrono::steady_clock::time_point enqueued;
   };
-  mutable std::mutex queue_mu_;  // mutable: stats() reads queue depth
+  mutable std::mutex queue_mu_;  // mutable: the gauge group reads depth
   std::condition_variable queue_cv_;
   std::deque<PendingBatch> queue_;
   bool shutdown_ = false;

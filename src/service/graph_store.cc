@@ -253,30 +253,36 @@ std::vector<StoredGraph> GraphStore::ResidentGraphs() const {
   return resident;
 }
 
+std::span<const obs::StatsField<GraphStore::Stats>> GraphStore::MetricFields() {
+  static constexpr obs::StatsField<Stats> kFields[] = {
+      {"graphs", &Stats::graphs},
+      {"resident_bytes", &Stats::resident_bytes},
+      {"inserts", &Stats::inserts},
+      {"dedup_hits", &Stats::dedup_hits},
+      {"evictions", &Stats::evictions},
+      {"byte_budget", &Stats::byte_budget},
+  };
+  return kFields;
+}
+
 void GraphStore::RegisterMetrics(obs::MetricRegistry& registry,
                                  const std::string& prefix,
                                  const void* owner) {
-  // One gauge group over a single StatsSnapshot() call — see
+  // One gauge group over a single stats() call — see
   // ScoreCache::RegisterMetrics for why per-field gauges would tear.
   registry.RegisterGaugeGroup(
-      [this, prefix]() {
-        const Stats s = StatsSnapshot();
-        return std::vector<obs::MetricsSnapshot::Value>{
-            {prefix + ".graphs", s.graphs},
-            {prefix + ".resident_bytes", s.resident_bytes},
-            {prefix + ".inserts", s.inserts},
-            {prefix + ".dedup_hits", s.dedup_hits},
-            {prefix + ".evictions", s.evictions},
-            {prefix + ".byte_budget", s.byte_budget},
-        };
+      [this, prefix] {
+        std::vector<obs::MetricsSnapshot::Value> values;
+        obs::AppendFields(stats(), MetricFields(), prefix, &values);
+        return values;
       },
       owner);
-  registry.RegisterHistogram(prefix + ".intern_ns", &intern_ns_, owner);
-  registry.RegisterHistogram(prefix + ".find_ns", &find_ns_, owner);
-  registry.RegisterHistogram(prefix + ".evict_ns", &evict_ns_, owner);
+  registry.RegisterHistogram(prefix + "intern_ns", &intern_ns_, owner);
+  registry.RegisterHistogram(prefix + "find_ns", &find_ns_, owner);
+  registry.RegisterHistogram(prefix + "evict_ns", &evict_ns_, owner);
 }
 
-GraphStore::Stats GraphStore::StatsSnapshot() const {
+GraphStore::Stats GraphStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats stats;
   stats.graphs = static_cast<int64_t>(graphs_.size());

@@ -240,33 +240,39 @@ int64_t ScoreCache::EraseGraphEntries(uint64_t fingerprint) {
   return dropped;
 }
 
+std::span<const obs::StatsField<ScoreCache::Stats>> ScoreCache::MetricFields() {
+  static constexpr obs::StatsField<Stats> kFields[] = {
+      {"hits", &Stats::hits},
+      {"misses", &Stats::misses},
+      {"evictions", &Stats::evictions},
+      {"entries", &Stats::entries},
+      {"lineage_entries", &Stats::lineage_entries},
+      {"bytes", &Stats::bytes},
+      {"byte_budget", &Stats::byte_budget},
+      {"insert_failures", &Stats::insert_failures},
+  };
+  return kFields;
+}
+
 void ScoreCache::RegisterMetrics(obs::MetricRegistry& registry,
                                  const std::string& prefix,
                                  const void* owner) {
-  // One gauge *group* over a single StatsSnapshot() call: every field a
-  // registry snapshot reports comes from the same instant under mu_, so
-  // a rollup summing shards can't observe torn per-field reads.
+  // One gauge *group* over a single stats() call: every field a registry
+  // snapshot reports comes from the same instant under mu_, so a rollup
+  // summing shards can't observe torn per-field reads.
   registry.RegisterGaugeGroup(
-      [this, prefix]() {
-        const Stats s = StatsSnapshot();
-        return std::vector<obs::MetricsSnapshot::Value>{
-            {prefix + ".hits", s.hits},
-            {prefix + ".misses", s.misses},
-            {prefix + ".evictions", s.evictions},
-            {prefix + ".entries", s.entries},
-            {prefix + ".lineage_entries", s.lineage_entries},
-            {prefix + ".bytes", s.bytes},
-            {prefix + ".byte_budget", s.byte_budget},
-            {prefix + ".insert_failures", s.insert_failures},
-        };
+      [this, prefix] {
+        std::vector<obs::MetricsSnapshot::Value> values;
+        obs::AppendFields(stats(), MetricFields(), prefix, &values);
+        return values;
       },
       owner);
-  registry.RegisterHistogram(prefix + ".get_ns", &get_ns_, owner);
-  registry.RegisterHistogram(prefix + ".put_ns", &put_ns_, owner);
-  registry.RegisterHistogram(prefix + ".evict_ns", &evict_ns_, owner);
+  registry.RegisterHistogram(prefix + "get_ns", &get_ns_, owner);
+  registry.RegisterHistogram(prefix + "put_ns", &put_ns_, owner);
+  registry.RegisterHistogram(prefix + "evict_ns", &evict_ns_, owner);
 }
 
-ScoreCache::Stats ScoreCache::StatsSnapshot() const {
+ScoreCache::Stats ScoreCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats stats;
   stats.hits = hits_;

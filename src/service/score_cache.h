@@ -276,14 +276,16 @@ class ScoreCache {
   int64_t EraseGraphEntries(uint64_t fingerprint);
 
   /// One coherent readout of every counter, taken under a single lock
-  /// acquisition — the unit a multi-shard rollup sums, so aggregated
-  /// stats can't tear mid-read. stats() is an alias.
-  Stats StatsSnapshot() const;
-  Stats stats() const { return StatsSnapshot(); }
+  /// acquisition, so no field tears against another.
+  Stats stats() const;
 
-  /// Registers this cache's stats as callback gauges and its operation
+  /// Each Stats field and its metric name (without the prefix): the
+  /// table RegisterMetrics emits and owners decode Stats back with.
+  static std::span<const obs::StatsField<Stats>> MetricFields();
+
+  /// Registers this cache's stats as one gauge group and its operation
   /// latency histograms (get/put/evict, populated only while
-  /// set_metrics_timing(true)) under `<prefix>.<name>`. The caller owns
+  /// set_metrics_timing(true)) under `<prefix><name>`. The caller owns
   /// unregistration via the `owner` cookie.
   void RegisterMetrics(obs::MetricRegistry& registry,
                        const std::string& prefix, const void* owner);

@@ -23,51 +23,17 @@ int64_t SplitBudget(int64_t total, int num_shards) {
   return std::max<int64_t>(1, total / num_shards);
 }
 
-/// Fieldwise sum of one shard's coherent stats into the rollup.
-void AccumulateStats(BackboneEngine::Stats& total,
-                     const BackboneEngine::Stats& shard) {
-  total.requests += shard.requests;
-  total.scores_computed += shard.scores_computed;
-  total.coalesced_waits += shard.coalesced_waits;
-  total.submitted_batches += shard.submitted_batches;
-  total.negative_hits += shard.negative_hits;
-  total.negative_entries += shard.negative_entries;
-  total.delta_rescores += shard.delta_rescores;
-  total.delta_fallbacks += shard.delta_fallbacks;
-  total.queue_depth += shard.queue_depth;
-  total.shed_batches += shard.shed_batches;
-  total.rejected_batches += shard.rejected_batches;
-  total.inflight_rejected += shard.inflight_rejected;
-  total.deadline_hits += shard.deadline_hits;
-  total.cancellations += shard.cancellations;
-  total.retries += shard.retries;
-  total.negative_exempt += shard.negative_exempt;
-  total.degraded_served += shard.degraded_served;
-  total.background_refreshes += shard.background_refreshes;
-  total.restored_graphs += shard.restored_graphs;
-  total.restored_entries += shard.restored_entries;
-  total.restored_lineage += shard.restored_lineage;
-  total.quarantined_sections += shard.quarantined_sections;
-  total.snapshot_writes += shard.snapshot_writes;
-  total.snapshot_failures += shard.snapshot_failures;
-  total.snapshot_restore_errors += shard.snapshot_restore_errors;
-
-  total.graphs.graphs += shard.graphs.graphs;
-  total.graphs.resident_bytes += shard.graphs.resident_bytes;
-  total.graphs.inserts += shard.graphs.inserts;
-  total.graphs.dedup_hits += shard.graphs.dedup_hits;
-  total.graphs.evictions += shard.graphs.evictions;
-  total.graphs.byte_budget += shard.graphs.byte_budget;
-
-  total.cache.hits += shard.cache.hits;
-  total.cache.misses += shard.cache.misses;
-  total.cache.evictions += shard.cache.evictions;
-  total.cache.entries += shard.cache.entries;
-  total.cache.lineage_entries += shard.cache.lineage_entries;
-  total.cache.bytes += shard.cache.bytes;
-  total.cache.byte_budget += shard.cache.byte_budget;
-  total.cache.insert_failures += shard.cache.insert_failures;
-}
+/// The router's own Stats fields and the "sharded." gauges they read.
+constexpr obs::StatsField<ShardedBackboneEngine::Stats> kRouterFields[] = {
+    {"sharded.routing_epoch", &ShardedBackboneEngine::Stats::routing_epoch},
+    {"sharded.routing_overrides",
+     &ShardedBackboneEngine::Stats::routing_overrides},
+    {"sharded.migrations", &ShardedBackboneEngine::Stats::migrations},
+    {"sharded.migration_failures",
+     &ShardedBackboneEngine::Stats::migration_failures},
+    {"sharded.rebalance_cycles",
+     &ShardedBackboneEngine::Stats::rebalance_cycles},
+};
 
 }  // namespace
 
@@ -478,61 +444,59 @@ void ShardedBackboneEngine::RebalancerLoop() {
   }
 }
 
-ShardedBackboneEngine::Stats ShardedBackboneEngine::stats() const {
-  Stats stats;
-  stats.shards.reserve(shards_.size());
+obs::MetricsSnapshot ShardedBackboneEngine::Rollup(
+    std::vector<obs::MetricsSnapshot>* per_shard) const {
+  // Same-name metrics merge across shards: counters and gauges sum,
+  // histograms merge bucket-wise, both order-independent.
+  obs::MetricsSnapshot rollup;
   for (const auto& shard : shards_) {
-    stats.shards.push_back(shard->stats());
+    per_shard->push_back(shard->Metrics());
+    rollup.Merge(per_shard->back());
   }
-  for (const BackboneEngine::Stats& shard : stats.shards) {
-    AccumulateStats(stats.total, shard);
-  }
+  Stats router;
   const std::shared_ptr<const RoutingTable> table = Table();
-  stats.routing_epoch = static_cast<int64_t>(table->epoch);
-  stats.routing_overrides = static_cast<int64_t>(table->overrides.size());
+  router.routing_epoch = static_cast<int64_t>(table->epoch);
+  router.routing_overrides = static_cast<int64_t>(table->overrides.size());
   {
     std::lock_guard<std::mutex> lock(rebalance_mu_);
-    stats.migrations = migrations_;
-    stats.migration_failures = migration_failures_;
-    stats.rebalance_cycles = rebalance_cycles_;
+    router.migrations = migrations_;
+    router.migration_failures = migration_failures_;
+    router.rebalance_cycles = rebalance_cycles_;
   }
+  rollup.gauges.push_back(
+      {"sharded.shards", static_cast<int64_t>(shards_.size())});
+  obs::AppendFields(router, kRouterFields, "", &rollup.gauges);
+  return rollup;
+}
+
+ShardedBackboneEngine::Stats ShardedBackboneEngine::stats() const {
+  // Each shard's snapshot is taken once: it decodes into that shard's row
+  // and merges into the rollup, so the total is the rows' sum by
+  // construction.
+  std::vector<obs::MetricsSnapshot> per_shard;
+  const obs::MetricsSnapshot rollup = Rollup(&per_shard);
+  Stats stats;
+  for (const obs::MetricsSnapshot& snapshot : per_shard) {
+    stats.shards.push_back(BackboneEngine::DecodeStats(snapshot));
+  }
+  stats.total = BackboneEngine::DecodeStats(rollup);
+  obs::DecodeFields(rollup, kRouterFields, "", &stats);
   return stats;
 }
 
+std::vector<std::string> ShardedBackboneEngine::StatsMetricNames() {
+  std::vector<std::string> names;
+  obs::AppendFieldNames(kRouterFields, "", &names);
+  return names;
+}
+
 obs::MetricsSnapshot ShardedBackboneEngine::Metrics() const {
-  // Three views in one snapshot: the unprefixed rollup (same-name
-  // metrics merge across shards — counters sum, histograms merge
-  // bucket-wise, both order-independent), each shard again under its
-  // "shard<i>." namespace, and the router's own gauges.
+  // The rollup, then each shard again under its "shard<i>." namespace.
   std::vector<obs::MetricsSnapshot> per_shard;
-  per_shard.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    per_shard.push_back(shard->Metrics());
-  }
-  obs::MetricsSnapshot out;
-  for (const obs::MetricsSnapshot& snapshot : per_shard) {
-    out.Merge(snapshot);
-  }
+  obs::MetricsSnapshot out = Rollup(&per_shard);
   for (size_t i = 0; i < per_shard.size(); ++i) {
-    out.Merge(
-        per_shard[i].WithPrefix("shard" + std::to_string(i) + "."));
+    out.Merge(per_shard[i].WithPrefix("shard" + std::to_string(i) + "."));
   }
-  obs::MetricsSnapshot own;
-  const std::shared_ptr<const RoutingTable> table = Table();
-  own.gauges.push_back(
-      {"sharded.shards", static_cast<int64_t>(shards_.size())});
-  own.gauges.push_back(
-      {"sharded.routing_epoch", static_cast<int64_t>(table->epoch)});
-  own.gauges.push_back({"sharded.routing_overrides",
-                        static_cast<int64_t>(table->overrides.size())});
-  {
-    std::lock_guard<std::mutex> lock(rebalance_mu_);
-    own.gauges.push_back({"sharded.migrations", migrations_});
-    own.gauges.push_back(
-        {"sharded.migration_failures", migration_failures_});
-    own.gauges.push_back({"sharded.rebalance_cycles", rebalance_cycles_});
-  }
-  out.Merge(own);
   return out;
 }
 

@@ -112,11 +112,12 @@ class ShardedBackboneEngine {
   using Options = ShardedBackboneEngineOptions;
 
   struct Stats {
-    /// Fieldwise sum over the shards (including the nested store/cache
-    /// stats). Each shard contributes one coherent StatsSnapshot, so the
-    /// rollup never mixes two instants of the same shard.
+    /// Decoded from the merge of the shards' metrics snapshots, so each
+    /// field (the nested store/cache stats included) is the sum of
+    /// `shards` by construction.
     BackboneEngine::Stats total;
-    /// The same coherent per-shard readouts the rollup summed.
+    /// Each shard's Stats, decoded from the one snapshot of that shard
+    /// the rollup merged.
     std::vector<BackboneEngine::Stats> shards;
 
     int64_t routing_epoch = 0;      ///< bumped by every table swap
@@ -183,8 +184,13 @@ class ShardedBackboneEngine {
   /// Serialized with the periodic rebalancer; safe from any thread.
   int RebalanceNow();
 
-  /// Coherent rollup + per-shard stats + router/rebalancer counters.
+  /// Rollup + per-shard stats + router/rebalancer counters, a typed view
+  /// decoded from the same snapshots Metrics() reports.
   Stats stats() const;
+
+  /// The metric names stats() decodes the router fields from. The rollup
+  /// and per-shard fields read BackboneEngine::StatsMetricNames().
+  static std::vector<std::string> StatsMetricNames();
 
   /// The shards' metrics three ways in one snapshot: the unprefixed
   /// rollup (same-name metrics merged across shards), each shard again
@@ -226,6 +232,11 @@ class ShardedBackboneEngine {
                            int target);
 
   void RebalancerLoop();
+
+  /// Takes each shard's Metrics() once into *per_shard and returns their
+  /// merge plus the router's "sharded." gauges.
+  obs::MetricsSnapshot Rollup(
+      std::vector<obs::MetricsSnapshot>* per_shard) const;
 
   const Options options_;
   std::vector<std::unique_ptr<BackboneEngine>> shards_;

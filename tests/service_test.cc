@@ -17,7 +17,9 @@
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -661,6 +663,28 @@ TEST(BackboneEngineTest, DedupesResubmittedGraphs) {
   EXPECT_EQ(first, again);
   EXPECT_EQ(engine.stats().graphs.graphs, 1);
   EXPECT_EQ(engine.stats().graphs.dedup_hits, 1);
+}
+
+// stats() decodes every field by name, and MetricsSnapshot::ValueOf falls
+// back to 0 on a missing name: a mistyped name would read 0 silently.
+TEST(BackboneEngineTest, EveryStatsFieldDecodesFromARegisteredMetric) {
+  constexpr int64_t kAbsent = std::numeric_limits<int64_t>::min();
+  const std::vector<std::string> names = BackboneEngine::StatsMetricNames();
+  // One name per int64_t field, nested store and cache stats included: a
+  // field added without a table row, or a row listed twice, fails here.
+  EXPECT_EQ(names.size() * sizeof(int64_t), sizeof(BackboneEngine::Stats));
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+            names.size());
+  for (const bool enable_metrics : {true, false}) {
+    BackboneEngineOptions options;
+    options.enable_metrics = enable_metrics;
+    BackboneEngine engine(options);
+    const obs::MetricsSnapshot metrics = engine.Metrics();
+    for (const std::string& name : names) {
+      EXPECT_NE(metrics.ValueOf(name, kAbsent), kAbsent)
+          << name << " (enable_metrics=" << enable_metrics << ")";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1384,6 +1408,52 @@ TEST(BackboneEngineFaultTest, NegativeCacheTtlExpiresAndRearms) {
   ASSERT_FALSE(engine.Execute(request).ok());
   EXPECT_EQ(engine.stats().scores_computed, 2);  // TTL lapsed: re-attempted
   EXPECT_EQ(engine.stats().negative_hits, 1);
+}
+
+// stats() takes the registry lock, then the engine's score and queue locks
+// (the gauge group) and the cache and store locks. Reading it while
+// clients execute, submit and score exercises that order under the
+// sanitizers; every readout must be monotone in the request count.
+TEST(BackboneEngineTest, StatsReadDuringConcurrentLoadStaysMonotone) {
+  BackboneEngine engine;
+  std::vector<uint64_t> graphs;
+  for (int i = 0; i < 4; ++i) {
+    graphs.push_back(
+        engine.AddGraph(BenchGraph(91 + static_cast<uint64_t>(i))));
+  }
+  constexpr int kRounds = 30;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    int64_t last = 0;
+    while (!done.load()) {
+      const BackboneEngine::Stats stats = engine.stats();
+      EXPECT_GE(stats.requests, last);
+      EXPECT_GE(stats.queue_depth, 0);
+      last = stats.requests;
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 3; ++t) {
+    clients.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        const BackboneRequest request = ShareRequest(
+            graphs[static_cast<size_t>(r % 4)], Method::kNoiseCorrected);
+        if (t == 0) {
+          EXPECT_TRUE(engine.Submit({request}).get()[0].ok());
+        } else {
+          EXPECT_TRUE(engine.Execute(request).ok());
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  done.store(true);
+  reader.join();
+  const BackboneEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.requests, 3 * kRounds);
+  EXPECT_EQ(stats.scores_computed, 4);
+  EXPECT_EQ(stats.queue_depth, 0);
+  EXPECT_EQ(stats.submitted_batches, kRounds);
 }
 
 TEST(BackboneEngineFaultTest, ClearNegativeCacheUnderConcurrentSubmitLoad) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -383,6 +384,30 @@ TEST(ShardedEngineTest, StatsRollupSumsShards) {
         "shard" + std::to_string(i) + ".engine.requests", 0);
   }
   EXPECT_EQ(metrics.ValueOf("engine.requests", -1), per_shard_requests);
+}
+
+// stats() decodes the rollup, each shard and the router fields by name; a
+// name missing from Metrics() would decode silently to 0.
+TEST(ShardedEngineTest, EveryStatsFieldDecodesFromARegisteredMetric) {
+  constexpr int64_t kAbsent = std::numeric_limits<int64_t>::min();
+  ShardedBackboneEngineOptions options;
+  options.num_shards = 3;
+  ShardedBackboneEngine engine(options);
+  const obs::MetricsSnapshot metrics = engine.Metrics();
+  for (const std::string& name : BackboneEngine::StatsMetricNames()) {
+    EXPECT_NE(metrics.ValueOf(name, kAbsent), kAbsent) << name;
+    for (int i = 0; i < options.num_shards; ++i) {
+      const std::string shard_name =
+          "shard" + std::to_string(i) + "." + name;
+      EXPECT_NE(metrics.ValueOf(shard_name, kAbsent), kAbsent) << shard_name;
+    }
+  }
+  const std::vector<std::string> router =
+      ShardedBackboneEngine::StatsMetricNames();
+  EXPECT_EQ(router.size(), 5u);  // routing_epoch .. rebalance_cycles
+  for (const std::string& name : router) {
+    EXPECT_NE(metrics.ValueOf(name, kAbsent), kAbsent) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

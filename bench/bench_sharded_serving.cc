@@ -1,8 +1,7 @@
 // Acceptance harness for sharded serving (src/service/sharded_engine.h):
 // N engine shards behind a fingerprint router must answer bit-identically
-// to a 1-shard deployment, scale warm throughput with shard count, keep
-// lineage families co-located through hot-shard rebalance, and warm-
-// restart every shard from its own snapshot subdirectory with ZERO
+// to a 1-shard deployment, scale warm throughput with shard count, and
+// warm-restart every shard from its own snapshot subdirectory with ZERO
 // rescores and ZERO sorts.
 //
 // Contract being demonstrated (and enforced — the process exits non-zero
@@ -20,16 +19,13 @@
 //     thread per hardware thread; the >= 1.8x ratio gate arms only on
 //     hosts with >= 4 hardware threads and non-sanitizer builds (the
 //     ratio is still measured and logged elsewhere);
-//   * phase D skews load onto one lineage family sharing a shard with an
-//     independent hot fingerprint, runs RebalanceNow twice (migrate,
-//     then retire), and requires: the family moved *together*, replays
-//     stay bit-identical and fully warm (zero rescores, zero sorts), a
-//     post-migration revision still rides the delta warm path on the
-//     *target* shard, and the source actually retired its copy;
-//   * phase E reboots the 4-shard engine on the same snapshot root:
-//     every shard restores its slice, the router self-heals the migrated
-//     family's overrides, and the full trace replays bit-identically
-//     with scores_computed == 0 and SortsPerformed unchanged.
+//   * phase E snapshots a 4-shard engine holding a lineage family
+//     {A, A'} whose revision A' hashes to a different shard than A (so
+//     its pin leaves it off its hash shard) plus an independent B, then
+//     reboots on the same snapshot root: every shard restores its slice,
+//     the router self-heals the override of A', and the trace over
+//     {A, A', B} replays bit-identically with scores_computed == 0 and
+//     SortsPerformed unchanged.
 //
 // Warm throughput (req/s at 1 and 4 shards, plus the ratio) lands in
 // BENCH_sharded_serving.json.
@@ -188,7 +184,7 @@ double MeasureWarmThroughput(nb::ShardedBackboneEngine& engine,
 int main() {
   Banner("sharded serving",
          "N-shard fingerprint routing: bit-identical responses, warm "
-         "scaling, rebalance + per-shard warm restart");
+         "scaling, per-shard warm restart");
   const bool quick = netbone::bench::QuickMode();
   netbone::bench::JsonBenchLog json("sharded_serving");
   bool ok = true;
@@ -316,13 +312,12 @@ int main() {
     }
   }
 
-  // ---- Phase D: hot-family rebalance drill (4 shards). ----------------
-  // Layout: a lineage family {A, A'} sharing a shard with an independent
-  // hot fingerprint B (found by deterministic seed search), so the family
-  // is migratable — moving it narrows the load gap without emptying the
-  // source. The drill snapshots into `root`, which phase E reboots.
-  int target_shard = -1;
-  int source_shard = -1;
+  // ---- Phase E setup: a revision pinned off its hash shard (4 shards).
+  // Layout: a lineage family {A, A'} whose revision A' hashes to another
+  // shard than A (found by deterministic seed search), so the pin of A'
+  // is the state boot self-heal must restore, plus an independent B on
+  // A's shard. The engine snapshots into `root`, which phase E reboots.
+  int home_shard = -1;
   std::vector<uint64_t> drill_fps;
   std::vector<nb::BackboneRequest> drill_trace;
   std::vector<nb::BackboneResponse> drill_reference;
@@ -335,122 +330,28 @@ int main() {
 
     const int drill_nodes = quick ? 250 : 800;
     const nb::Graph graph_a = IntWeightEr(drill_nodes, 900);
-    source_shard = engine.ShardOf(nb::GraphFingerprint(graph_a));
+    const uint64_t fp_a_hash = nb::GraphFingerprint(graph_a);
+    home_shard = engine.ShardOf(fp_a_hash);
     nb::Graph graph_b;
     for (uint64_t seed = 901;; ++seed) {
       graph_b = IntWeightEr(drill_nodes + 37, seed);
-      if (engine.ShardOf(nb::GraphFingerprint(graph_b)) == source_shard &&
-          nb::GraphFingerprint(graph_b) != nb::GraphFingerprint(graph_a)) {
+      if (engine.ShardOf(nb::GraphFingerprint(graph_b)) == home_shard &&
+          nb::GraphFingerprint(graph_b) != fp_a_hash) {
         break;
       }
     }
+    nb::Graph revision;
+    for (uint64_t seed = 11;; ++seed) {
+      revision = TransferWeight(graph_a, 5, seed);
+      const uint64_t fp = nb::GraphFingerprint(revision);
+      if (fp != fp_a_hash && engine.ShardOf(fp) != home_shard) break;
+    }
     const uint64_t fp_a = engine.AddGraph(graph_a);
-    const uint64_t fp_rev =
-        engine.AddGraphRevision(TransferWeight(graph_a, 5, 11), fp_a);
+    const uint64_t fp_rev = engine.AddGraphRevision(revision, fp_a);
     const uint64_t fp_b = engine.AddGraph(graph_b);
     drill_fps = {fp_a, fp_rev, fp_b};
     drill_trace = BuildTrace(drill_fps);
     if (!RunTrace(engine, drill_trace, &drill_reference)) ok = false;
-
-    // Skew the load counters: family {A, A'} dominates, but B keeps the
-    // source shard warm enough that migrating the family narrows the gap
-    // instead of just relabeling the hottest shard.
-    nb::BackboneRequest hot;
-    hot.method = nb::Method::kNoiseCorrected;
-    hot.kind = nb::RequestKind::kTopShare;
-    hot.share = 0.25;
-    for (int i = 0; i < 300; ++i) {
-      hot.graph = fp_a;
-      (void)engine.Execute(hot);
-      if (i < 150) {
-        hot.graph = fp_rev;
-        (void)engine.Execute(hot);
-      }
-      if (i < 100) {
-        hot.graph = fp_b;
-        (void)engine.Execute(hot);
-      }
-    }
-
-    const int64_t sorts_before = nb::ScoreOrder::SortsPerformed();
-    const int64_t scores_before = engine.stats().total.scores_computed;
-    const int moved = engine.RebalanceNow();
-    const auto mid = engine.stats();
-    if (moved < 1 || mid.migrations < 1) {
-      std::printf("rebalance moved %d families (want >= 1)\n", moved);
-      ok = false;
-    }
-    target_shard = engine.ShardOf(fp_a);
-    const bool family_together = engine.ShardOf(fp_rev) == target_shard;
-    if (target_shard == source_shard || !family_together) {
-      std::printf("family routing after rebalance: A->%d A'->%d (src %d)\n",
-                  target_shard, engine.ShardOf(fp_rev), source_shard);
-      ok = false;
-    }
-    if (engine.ShardOf(fp_b) != source_shard) {
-      std::printf("independent fingerprint B moved (want stay on %d)\n",
-                  source_shard);
-      ok = false;
-    }
-
-    // Replay: bit-identical, fully warm — the migrated cache entries
-    // serve, nothing is rescored or re-sorted.
-    std::vector<nb::BackboneResponse> replay;
-    if (!RunTrace(engine, drill_trace, &replay)) ok = false;
-    size_t mismatches = 0, misses = 0;
-    for (size_t i = 0; i < replay.size(); ++i) {
-      if (!SamePayload(replay[i], drill_reference[i])) ++mismatches;
-      if (!replay[i].cache_hit) ++misses;
-    }
-    const auto after = engine.stats();
-    if (after.total.scores_computed != scores_before) {
-      std::printf("post-migration replay rescored %lld keys (want 0)\n",
-                  static_cast<long long>(after.total.scores_computed -
-                                         scores_before));
-      ok = false;
-    }
-    if (nb::ScoreOrder::SortsPerformed() != sorts_before) {
-      std::printf("post-migration replay performed sorts (want 0)\n");
-      ok = false;
-    }
-    if (mismatches != 0 || misses != 0) {
-      std::printf("post-migration replay: %zu mismatched, %zu misses\n",
-                  mismatches, misses);
-      ok = false;
-    }
-
-    // Lineage survives migration: a new revision of the *migrated* head
-    // pins to the target shard and rides the delta warm path there.
-    const int64_t target_deltas_before =
-        engine.stats().shards[static_cast<size_t>(target_shard)].delta_rescores;
-    const uint64_t fp_child =
-        engine.AddGraphRevision(TransferWeight(graph_a, 4, 13), fp_rev);
-    if (engine.ShardOf(fp_child) != target_shard) {
-      std::printf("post-migration revision routed to %d (want %d)\n",
-                  engine.ShardOf(fp_child), target_shard);
-      ok = false;
-    }
-    nb::BackboneRequest child = hot;
-    child.graph = fp_child;
-    const auto child_response = engine.Execute(child);
-    if (!child_response.ok()) ok = false;
-    const int64_t target_deltas =
-        engine.stats().shards[static_cast<size_t>(target_shard)].delta_rescores;
-    if (target_deltas <= target_deltas_before) {
-      std::printf("migrated lineage did not delta-patch on target shard\n");
-      ok = false;
-    }
-
-    // Second cycle retires the source copy (the grace period elapses).
-    (void)engine.RebalanceNow();
-    if (engine.shard(source_shard).FindGraph(fp_a) != nullptr) {
-      std::printf("source shard still holds migrated graph after retire\n");
-      ok = false;
-    }
-
-    PrintRow({"\nphase D", "moved", "src", "dst", "identical"});
-    PrintRow({"", std::to_string(moved), std::to_string(source_shard),
-              std::to_string(target_shard), mismatches == 0 ? "yes" : "NO"});
 
     const nb::Status wrote = engine.WriteSnapshotNow();
     if (!wrote.ok()) {
@@ -478,13 +379,13 @@ int main() {
                   static_cast<long long>(stats.total.quarantined_sections));
       ok = false;
     }
-    // Self-heal: the migrated family must still route to the shard that
+    // Self-heal: the pinned revision must still route to the shard that
     // holds it, not back to its hash shard.
-    if (engine.ShardOf(drill_fps[0]) != target_shard ||
-        engine.ShardOf(drill_fps[1]) != target_shard) {
-      std::printf("self-heal lost the migration (A->%d A'->%d, want %d)\n",
+    if (engine.ShardOf(drill_fps[0]) != home_shard ||
+        engine.ShardOf(drill_fps[1]) != home_shard) {
+      std::printf("self-heal lost the revision pin (A->%d A'->%d, want %d)\n",
                   engine.ShardOf(drill_fps[0]), engine.ShardOf(drill_fps[1]),
-                  target_shard);
+                  home_shard);
       ok = false;
     }
 
@@ -519,9 +420,8 @@ int main() {
   }
 
   fs::remove_all(root, ec);
-  std::printf("\nsharded-serving gates (identity at 1/2/4 shards, rebalance "
-              "bit-identity, lineage co-location, per-shard warm restart): "
-              "%s\n",
+  std::printf("\nsharded-serving gates (identity at 1/2/4 shards, lineage "
+              "co-location, per-shard warm restart): %s\n",
               ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }

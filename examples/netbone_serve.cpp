@@ -351,8 +351,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(sharded_stats.routing_epoch));
     std::printf("%-28s %12lld\n", "routing overrides",
                 static_cast<long long>(sharded_stats.routing_overrides));
-    std::printf("%-28s %12lld\n", "families migrated",
-                static_cast<long long>(sharded_stats.migrations));
     for (size_t s = 0; s < sharded_stats.shards.size(); ++s) {
       std::printf("shard %-22zu %12lld requests\n", s,
                   static_cast<long long>(sharded_stats.shards[s].requests));

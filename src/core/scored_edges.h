@@ -162,111 +162,6 @@ Result<std::vector<EdgeScore>> ParallelScoreEdges(
   return scores;
 }
 
-namespace internal {
-
-/// Dynamic-schedule scoring core shared by the grain overload of
-/// ParallelScoreEdges and ParallelScoreEdgeSubset: runs `score_edge` over
-/// the `count` edges named by `id_at` in grain-bounded blocks claimed off
-/// ParallelForDynamic, writing each result to scores[id]. First-error-wins
-/// is deterministic without per-block bookkeeping: every block reports its
-/// own lowest erroring index into an atomic min (commutative, so steal
-/// order cannot matter), and the winning status is regenerated by re-
-/// invoking the scorer once — scorers are pure functions of their inputs,
-/// so the replay reproduces the exact status a serial sweep would return.
-///
-/// Cancellation cannot use the replay trick (re-invoking the scorer after
-/// the token fired would return OK), so it is tracked by a separate flag:
-/// blocks poll `cancel` at entry, and when no real edge error exists the
-/// token's own status is returned.
-template <typename IdAt, typename Scorer>
-Status ScoreEdgesDynamic(const Graph& graph, int64_t count, int num_threads,
-                         int64_t grain, const IdAt& id_at,
-                         const Scorer& score_edge,
-                         std::vector<EdgeScore>* scores,
-                         const CancelToken& cancel = {}) {
-  if (count <= 0) return Status::OK();
-  const bool cancellable = cancel.CanExpire();
-  std::atomic<int64_t> first_error_index{count};
-  std::atomic<bool> saw_cancel{false};
-  ParallelForDynamic(count, grain, num_threads,
-                     [&](int64_t begin, int64_t end) {
-                       if (cancellable) {
-                         if (saw_cancel.load(std::memory_order_relaxed)) {
-                           return;
-                         }
-                         if (!cancel.Check().ok()) {
-                           saw_cancel.store(true, std::memory_order_relaxed);
-                           return;
-                         }
-                       }
-                       for (int64_t i = begin; i < end; ++i) {
-                         const EdgeId id = id_at(i);
-                         if (!score_edge(id, graph.edge(id),
-                                         &(*scores)[static_cast<size_t>(id)])
-                                  .ok()) {
-                           int64_t seen =
-                               first_error_index.load(std::memory_order_relaxed);
-                           while (i < seen &&
-                                  !first_error_index.compare_exchange_weak(
-                                      seen, i, std::memory_order_relaxed)) {
-                           }
-                           return;  // abandon the rest of this block
-                         }
-                       }
-                     });
-  const int64_t winner = first_error_index.load(std::memory_order_relaxed);
-  if (winner == count) {
-    if (saw_cancel.load(std::memory_order_relaxed)) return cancel.Check();
-    return Status::OK();
-  }
-  const EdgeId id = id_at(winner);
-  EdgeScore discard;
-  return score_edge(id, graph.edge(id), &discard);
-}
-
-}  // namespace internal
-
-/// Dynamic-schedule overload of ParallelScoreEdges for scorers with skewed
-/// per-edge cost: the edge table is decomposed into blocks of at most
-/// `grain` edges (ParallelForDynamic — blocks depend only on (n, grain))
-/// claimed dynamically, so one expensive region stalls a single runner
-/// instead of serializing its whole static chunk. Output — scores and the
-/// winning error — is bit-identical to the static overload at every thread
-/// count and grain. Opt-in: uniform per-edge scorers should keep the
-/// static overload (fewer scheduler handoffs).
-template <typename Scorer>
-Result<std::vector<EdgeScore>> ParallelScoreEdges(
-    const Graph& graph, int num_threads, int64_t grain,
-    const Scorer& score_edge, const CancelToken& cancel = {}) {
-  const int64_t n = graph.num_edges();
-  std::vector<EdgeScore> scores(static_cast<size_t>(n));
-  Status status = internal::ScoreEdgesDynamic(
-      graph, n, num_threads, grain, [](int64_t i) { return EdgeId{i}; },
-      score_edge, &scores, cancel);
-  if (!status.ok()) return status;
-  return scores;
-}
-
-/// Rescores only the edges named by `ids` (ascending edge ids), writing
-/// each result into scores[id] and leaving every other slot untouched —
-/// the incremental path's kernel (core/delta_rescore.h): after a sparse
-/// graph update only the dirty edges pay scoring work. Blocks of at most
-/// `grain` ids are claimed dynamically (dirty work is skewed: a hub's star
-/// lands contiguous ids). `scores` must be sized to the full edge table.
-/// On failure the status of the lowest-id failing edge is returned — the
-/// same winner the full sweeps report.
-template <typename Scorer>
-Status ParallelScoreEdgeSubset(const Graph& graph,
-                               std::span<const EdgeId> ids, int num_threads,
-                               int64_t grain, const Scorer& score_edge,
-                               std::vector<EdgeScore>* scores,
-                               const CancelToken& cancel = {}) {
-  return internal::ScoreEdgesDynamic(
-      graph, static_cast<int64_t>(ids.size()), num_threads, grain,
-      [ids](int64_t i) { return ids[static_cast<size_t>(i)]; }, score_edge,
-      scores, cancel);
-}
-
 /// Range-batch variant of ParallelScoreEdges: instead of a per-edge
 /// callback, each static chunk hands whole contiguous sub-ranges of the
 /// edge table to `score_range` — the entry point the vectorized kernels
@@ -365,21 +260,26 @@ GatheredEdges& ThreadGatheredEdges();
 
 }  // namespace internal
 
-/// Range-batch variant of ParallelScoreEdgeSubset: the dirty-edge patching
-/// fast path. `ids` must be ascending and distinct. Each dynamically
-/// claimed block is scored kSubsetChunk ids at a time: a chunk of
-/// consecutive ids (a hub's star, an inserted block of a sorted table)
-/// goes to `score_range` whole over `cols`, with sequential loads; any
-/// other chunk is first packed into a dense per-thread copy of its column
-/// entries, so scattered ids fill vector lanes instead of each paying a
-/// call and a scalar tail. `score_range` has signature
+/// Rescores only the edges named by `ids`, writing each result into
+/// scores[id] and leaving every other slot untouched — the incremental
+/// path's kernel (core/delta_rescore.h): after a sparse graph update only
+/// the dirty edges pay scoring work. `ids` must be ascending and
+/// distinct, and `scores` sized to the full edge table. Blocks of at most
+/// `grain` ids are claimed dynamically (dirty work is skewed: a hub's
+/// star lands contiguous ids), and each is scored kSubsetChunk ids at a
+/// time: a chunk of consecutive ids (a hub's star, an inserted block of
+/// a sorted table) goes to `score_range` whole over `cols`, with
+/// sequential loads; any other chunk is first packed into a dense
+/// per-thread copy of its column entries, so scattered ids fill vector
+/// lanes instead of each paying a call and a scalar tail. `score_range`
+/// has signature
 /// int64_t(const EdgeColumns& cols, int64_t begin, int64_t end,
 /// EdgeScore* out) and otherwise the contract of ParallelScoreEdgeRanges'
 /// scorer; the kernels' results do not depend on where an edge sits in
 /// the table, so both routes give the same bits. Scores land in
 /// scores[id]; untouched slots are preserved. First-error-wins matches
-/// ParallelScoreEdgeSubset: the lowest failing position (== lowest id,
-/// since ids ascend) wins and its Status is regenerated by `replay_edge`.
+/// the full sweeps: the lowest failing position (== lowest id, since ids
+/// ascend) wins and its Status is regenerated by `replay_edge`.
 template <typename RangeScorer, typename Replay>
 Status ParallelScoreEdgeRangeSubset(const EdgeColumns& cols,
                                     std::span<const EdgeId> ids,

@@ -373,6 +373,7 @@ MetricsSnapshot MetricRegistry::Snapshot() const {
   MetricsSnapshot snap;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    std::vector<const Entry*> histograms;
     for (const Entry& entry : entries_) {
       if (entry.counter != nullptr) {
         snap.counters.push_back({entry.name, entry.counter->Value()});
@@ -385,16 +386,28 @@ MetricsSnapshot MetricRegistry::Snapshot() const {
           snap.gauges.push_back(std::move(value));
         }
       } else if (entry.histogram != nullptr) {
-        snap.histograms.push_back({entry.name, entry.histogram->Snapshot()});
+        histograms.push_back(&entry);
+      }
+    }
+    // Histogram snapshots are ~4.7 KB each: sort the entries, not the
+    // copies, then read each histogram once, straight into name order.
+    // Same-name registrations (per-worker histograms) merge as they come.
+    std::sort(histograms.begin(), histograms.end(),
+              [](const Entry* a, const Entry* b) { return a->name < b->name; });
+    snap.histograms.reserve(histograms.size());
+    for (const Entry* entry : histograms) {
+      if (!snap.histograms.empty() &&
+          snap.histograms.back().name == entry->name) {
+        snap.histograms.back().hist.Merge(entry->histogram->Snapshot());
+      } else {
+        snap.histograms.push_back({entry->name, entry->histogram->Snapshot()});
       }
     }
   }
   auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
   std::sort(snap.counters.begin(), snap.counters.end(), by_name);
   std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
-  std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
-  // Coalesce same-name registrations (per-worker histograms and counters
-  // register under one shared name): counters/gauges sum, histograms merge.
+  // Coalesce same-name registrations: counters and gauges sum.
   auto coalesce_values = [](std::vector<MetricsSnapshot::Value>& values) {
     size_t out = 0;
     for (size_t i = 0; i < values.size(); ++i) {
@@ -409,16 +422,6 @@ MetricsSnapshot MetricRegistry::Snapshot() const {
   };
   coalesce_values(snap.counters);
   coalesce_values(snap.gauges);
-  size_t out = 0;
-  for (size_t i = 0; i < snap.histograms.size(); ++i) {
-    if (out > 0 && snap.histograms[out - 1].name == snap.histograms[i].name) {
-      snap.histograms[out - 1].hist.Merge(snap.histograms[i].hist);
-    } else {
-      if (out != i) snap.histograms[out] = std::move(snap.histograms[i]);
-      ++out;
-    }
-  }
-  snap.histograms.resize(out);
   return snap;
 }
 

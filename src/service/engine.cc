@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/parallel.h"
@@ -212,43 +211,6 @@ std::vector<uint64_t> BackboneEngine::ResidentFingerprints() const {
   return fingerprints;
 }
 
-std::vector<uint64_t> BackboneEngine::LineageFamily(
-    uint64_t fingerprint) const {
-  // Undirected reachability over the lineage records: parent edges and
-  // child edges both keep a family together (migrating a child without
-  // its warm parent would sever the delta path at the destination).
-  std::unordered_map<uint64_t, std::vector<uint64_t>> adjacency;
-  for (const auto& [child, lineage] : cache_.LineageEntries()) {
-    if (lineage.parent == 0) continue;
-    adjacency[child].push_back(lineage.parent);
-    adjacency[lineage.parent].push_back(child);
-  }
-  std::unordered_set<uint64_t> visited{fingerprint};
-  std::vector<uint64_t> frontier{fingerprint};
-  while (!frontier.empty()) {
-    const uint64_t current = frontier.back();
-    frontier.pop_back();
-    const auto it = adjacency.find(current);
-    if (it == adjacency.end()) continue;
-    for (const uint64_t next : it->second) {
-      if (visited.insert(next).second) frontier.push_back(next);
-    }
-  }
-  std::vector<uint64_t> family(visited.begin(), visited.end());
-  std::sort(family.begin(), family.end());
-  return family;
-}
-
-std::string BackboneEngine::ExportFingerprintState(
-    std::span<const uint64_t> fingerprints) const {
-  return EncodeFingerprintState(graphs_, cache_, fingerprints);
-}
-
-Result<SnapshotRestoreReport> BackboneEngine::ImportFingerprintState(
-    std::string_view blob) {
-  return DecodeFingerprintState(blob, &graphs_, &cache_);
-}
-
 int64_t BackboneEngine::RetireFingerprints(
     std::span<const uint64_t> fingerprints) {
   int64_t dropped = 0;
@@ -257,7 +219,8 @@ int64_t BackboneEngine::RetireFingerprints(
     if (graphs_.Erase(fingerprint)) ++dropped;
   }
   // Negative entries are keyed on the same fingerprints; drop them too so
-  // the new owner's verdicts are authoritative from the first request.
+  // a retired fingerprint interned again starts with no remembered
+  // failures.
   {
     std::lock_guard<std::mutex> lock(score_mu_);
     for (auto it = negative_.begin(); it != negative_.end();) {
@@ -384,7 +347,8 @@ std::optional<BackboneEngine::ScoreResult> BackboneEngine::StartOrJoinScore(
 
   // The graph is pinned while it is scored, so the store's byte budget
   // cannot evict a fingerprint whose score is about to be cached (the
-  // shared_ptr keeps the memory alive regardless). Three roads, cheapest
+  // shared_ptr keeps the memory alive regardless); the unpin re-prices it
+  // with the SoA columns the scoring built. Three roads, cheapest
   // first: the positive cache answered above; a warm ancestor patch; the
   // full (retrying) rescore.
   graphs_.Pin(key.graph);

@@ -126,7 +126,7 @@ int64_t ApproxGraphBytes(const Graph& graph) {
   }
   // The SoA scoring columns are a derived cache materialized on first cold
   // score; price them in once they exist (at intern time they usually
-  // don't, so budgets tuned to bare graphs keep their meaning).
+  // don't; GraphStore::Unpin re-prices after a scoring).
   if (graph.edge_columns_materialized()) {
     bytes += graph.edge_columns().bytes();
   }
@@ -231,7 +231,15 @@ void GraphStore::Pin(uint64_t fingerprint) {
 void GraphStore::Unpin(uint64_t fingerprint) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = graphs_.find(fingerprint);
-  if (it != graphs_.end() && it->second.pins > 0) --it->second.pins;
+  if (it == graphs_.end()) return;
+  Entry& entry = it->second;
+  if (entry.pins > 0) --entry.pins;
+  // The pin covered a scoring, which materializes the graph's SoA
+  // columns: re-price the entry so the budget sees them.
+  const int64_t bytes = ApproxGraphBytes(*entry.graph);
+  resident_bytes_ += bytes - entry.bytes;
+  entry.bytes = bytes;
+  TrimLocked();
 }
 
 void GraphStore::set_byte_budget(int64_t byte_budget) {

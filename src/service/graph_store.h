@@ -53,8 +53,9 @@ namespace netbone {
 uint64_t GraphFingerprint(const Graph& graph);
 
 /// Approximate resident heap bytes of a Graph (edge table, marginal
-/// arrays, labels + label index), priced with the common/bytes.h
-/// accounting. Used for the store's stats and any byte budgeting above it.
+/// arrays, labels + label index, and the SoA scoring columns once they
+/// exist), priced with the common/bytes.h accounting. Used for the
+/// store's stats and any byte budgeting above it.
 int64_t ApproxGraphBytes(const Graph& graph);
 
 /// A graph resident in a GraphStore: its fingerprint plus a shared
@@ -109,7 +110,9 @@ class GraphStore {
 
   /// In-flight refcount: while a fingerprint holds pins the budget never
   /// evicts it. No-op when the fingerprint is not resident. Balance every
-  /// Pin with one Unpin.
+  /// Pin with one Unpin. Unpin also re-prices the graph with
+  /// ApproxGraphBytes, since the scoring a pin covers materializes its
+  /// SoA columns, and trims to the budget.
   void Pin(uint64_t fingerprint);
   void Unpin(uint64_t fingerprint);
 

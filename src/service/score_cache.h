@@ -270,7 +270,7 @@ class ScoreCache {
 
   /// Drops every score entry keyed on `fingerprint` plus its lineage
   /// record, adjusting the byte accounting (not counted as evictions —
-  /// this is shard-migration retirement, not budget pressure). Entries
+  /// this is explicit retirement, not budget pressure). Entries
   /// still referenced elsewhere stay valid through their shared_ptrs.
   /// Returns the number of score entries dropped.
   int64_t EraseGraphEntries(uint64_t fingerprint);

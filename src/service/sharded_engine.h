@@ -5,10 +5,10 @@
 // graph fingerprint. Each shard is a complete engine — its own scheduler
 // thread slice, its own ScoreCache / GraphStore byte budgets (the global
 // budgets split N ways), its own snapshot subdirectory, its own metric
-// namespace — so shards share no locks on the request path and warm
-// throughput scales with shard count while every response stays
-// bit-identical to a single-engine deployment (the bench gate in
-// bench/bench_sharded_serving.cc).
+// namespace — so shards share no locks on the request path, and every
+// response stays bit-identical to a single-engine deployment (the bench
+// gate in bench/bench_sharded_serving.cc, which also measures 1->4-shard
+// warm scaling).
 //
 // Routing invariant: a fingerprint's shard is a pure function of
 // (fingerprint, routing table) — default shard Mix64(fp) % N, overridden
@@ -22,48 +22,35 @@
 // count: the same (upload trace, routing epoch) pair answers the same
 // shard everywhere.
 //
-// Rebalance epoch protocol. Per-fingerprint request counters feed a
-// rebalancer (periodic via Options::rebalance_interval, or on demand via
-// RebalanceNow) that migrates the hottest fingerprint *families* — the
-// lineage-connected component, so ancestors move with their children —
-// from overloaded to underloaded shards:
-//
-//   1. the source shard serializes the family (graph + cached scores +
-//      lineage) with the snapshot section codecs (checksummed bytes);
-//   2. the target shard imports it — strictly: a blob that does not
-//      decode cleanly aborts the migration and the source keeps serving;
-//   3. the routing table is copied, the family's overrides rewritten,
-//      and the new table swapped in with a bumped epoch — readers that
-//      routed under the old epoch keep valid shard references (the
-//      source still holds the state);
-//   4. the source retires the family one rebalance cycle *later* (the
-//      grace period): any request routed just before the swap has long
-//      finished, and shared_ptr handles keep in-flight artifacts alive
-//      regardless. A straggler re-inserting a score into the source
-//      cache post-retirement wastes bytes, never correctness — the
-//      router no longer answers that shard.
+// Routing table protocol. The table holds only overrides: fingerprints
+// routed off their hash shard. AddGraphRevision is the one writer while
+// the engine serves: it copies the current table, pins the child to its
+// base's shard, bumps the epoch and swaps the copy in, serialized with
+// other revision uploads on routing_mu_. The pin lands *before* the
+// child is interned on that shard, so a racing request on the child
+// either routes to the family's shard or NotFounds on its hash shard —
+// it never scores on a shard the family does not live on. Readers load
+// the table once per request (once per batch for ExecuteBatch/Submit)
+// and share no mutex with each other or with the writer.
 //
 // Boot: construction restores each shard from its own snapshot
 // subdirectory, then self-heals the routing table — any fingerprint
-// found resident off its hash shard (a pre-restart migration) gets an
-// override pointing at the shard that holds it, so migrated state stays
-// warm across restarts (hash owner wins when two shards hold a copy;
-// otherwise the lowest shard index).
+// found resident off its hash shard (a revision pinned to its base's
+// shard before the restart) gets an override pointing at the shard that
+// holds it, so pinned revisions stay warm across restarts (hash owner
+// wins when two shards hold a copy; otherwise the lowest shard index).
 
 #ifndef NETBONE_SERVICE_SHARDED_ENGINE_H_
 #define NETBONE_SERVICE_SHARDED_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -83,30 +70,11 @@ struct ShardedBackboneEngineOptions {
   /// under which each shard gets its own "shard<i>" subdirectory.
   /// Everything else applies to each shard verbatim.
   BackboneEngineOptions engine;
-
-  /// When > 0, a background thread runs a rebalance cycle roughly this
-  /// often. 0 (the default) leaves rebalancing to explicit RebalanceNow
-  /// calls — the deterministic mode the tests use.
-  std::chrono::milliseconds rebalance_interval{0};
-
-  /// A rebalance cycle migrates only while the hottest shard carries
-  /// more than this multiple of the coldest shard's load (and only while
-  /// moving the candidate family actually shrinks the gap).
-  double rebalance_load_ratio = 2.0;
-
-  /// Cap on family migrations per rebalance cycle, so one cycle never
-  /// churns the whole keyspace.
-  int max_migrations_per_cycle = 4;
-
-  /// Bound on distinct fingerprints tracked by the load counters. On
-  /// overflow the table resets (like the negative cache): the cost is
-  /// one cold rebalance window, never unbounded memory.
-  size_t max_tracked_fingerprints = 65536;
 };
 
-/// N BackboneEngine shards behind a fingerprint router with hot-shard
-/// rebalance. Mirrors the BackboneEngine request API; safe for
-/// concurrent use from any number of threads.
+/// N BackboneEngine shards behind a fingerprint router. Mirrors the
+/// BackboneEngine request API; safe for concurrent use from any number
+/// of threads.
 class ShardedBackboneEngine {
  public:
   using Options = ShardedBackboneEngineOptions;
@@ -122,13 +90,9 @@ class ShardedBackboneEngine {
 
     int64_t routing_epoch = 0;      ///< bumped by every table swap
     int64_t routing_overrides = 0;  ///< fingerprints routed off-hash
-    int64_t migrations = 0;         ///< families moved between shards
-    int64_t migration_failures = 0;  ///< aborted imports (source kept)
-    int64_t rebalance_cycles = 0;   ///< RebalanceNow invocations
   };
 
   explicit ShardedBackboneEngine(const Options& options = {});
-  ~ShardedBackboneEngine();
 
   ShardedBackboneEngine(const ShardedBackboneEngine&) = delete;
   ShardedBackboneEngine& operator=(const ShardedBackboneEngine&) = delete;
@@ -140,7 +104,7 @@ class ShardedBackboneEngine {
   int ShardOf(uint64_t fingerprint) const;
 
   /// The current routing epoch (0 at a fresh boot; every table swap —
-  /// revision pinning, migration, boot self-heal — bumps it).
+  /// revision pinning, boot self-heal — bumps it).
   uint64_t RoutingEpoch() const;
 
   /// Interns on the fingerprint's shard; returns the fingerprint.
@@ -178,13 +142,7 @@ class ShardedBackboneEngine {
   /// (remaining shards still attempt).
   Status WriteSnapshotNow();
 
-  /// One rebalance cycle, synchronously: retires families migrated in
-  /// the *previous* cycle (the grace period), then migrates hot families
-  /// while the load ratio holds. Returns the number of families moved.
-  /// Serialized with the periodic rebalancer; safe from any thread.
-  int RebalanceNow();
-
-  /// Rollup + per-shard stats + router/rebalancer counters, a typed view
+  /// Rollup + per-shard stats + router gauges, a typed view
   /// decoded from the same snapshots Metrics() reports.
   Stats stats() const;
 
@@ -217,56 +175,22 @@ class ShardedBackboneEngine {
   /// Routing under a specific table (the pure function).
   int RouteWith(const RoutingTable& table, uint64_t fingerprint) const;
 
-  /// Bumps the per-fingerprint request counter (bounded table).
-  void RecordLoad(uint64_t fingerprint);
-
   /// Builds the boot-time override set from what each restored shard
   /// actually holds. Constructor only, single-threaded.
   void SelfHealRouting();
-
-  /// One family migration: export from `source`, import into `target`,
-  /// swap the routing table, queue the source-side retirement. False
-  /// when the import failed (counted; routing untouched).
-  /// Precondition: rebalance_mu_ held.
-  bool MigrateFamilyLocked(std::span<const uint64_t> family, int source,
-                           int target);
-
-  void RebalancerLoop();
 
   /// Takes each shard's Metrics() once into *per_shard and returns their
   /// merge plus the router's "sharded." gauges.
   obs::MetricsSnapshot Rollup(
       std::vector<obs::MetricsSnapshot>* per_shard) const;
 
-  const Options options_;
   std::vector<std::unique_ptr<BackboneEngine>> shards_;
 
   /// Readers: one atomic shared_ptr load per routed request. Writers
-  /// (revision pinning, migration, self-heal) serialize on
-  /// rebalance_mu_, copy, edit, bump the epoch, and store.
+  /// copy, edit, bump the epoch, and store: SelfHealRouting before the
+  /// engine is shared, AddGraphRevision under routing_mu_.
   std::atomic<std::shared_ptr<const RoutingTable>> routing_;
-
-  /// Serializes routing-table writers and whole rebalance cycles; also
-  /// guards the pending retirement list and the migration counters.
-  mutable std::mutex rebalance_mu_;
-  /// Families whose routing already moved, awaiting retirement on their
-  /// old shard at the next cycle (the grace period).
-  std::vector<std::pair<int, std::vector<uint64_t>>> pending_retire_;
-  int64_t migrations_ = 0;
-  int64_t migration_failures_ = 0;
-  int64_t rebalance_cycles_ = 0;
-
-  /// Per-fingerprint request counts since the last reset — the
-  /// rebalancer's only input, so rebalance decisions are a deterministic
-  /// function of the request trace.
-  mutable std::mutex load_mu_;
-  std::unordered_map<uint64_t, int64_t> fingerprint_load_;
-
-  /// Periodic rebalancer (only when rebalance_interval > 0).
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool shutdown_ = false;
-  std::thread rebalancer_;
+  std::mutex routing_mu_;
 };
 
 }  // namespace netbone
